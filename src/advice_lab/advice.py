@@ -107,27 +107,24 @@ def parity_answer_sweep(strings: np.ndarray, m: int) -> tuple[np.ndarray, np.nda
     """Batch audit of parity_answer: answers and read counts for every index of
     every row of ``strings`` (shape (batch, N)).
 
-    Per group, prefix and suffix XOR accumulations give each excluded-index
-    parity without that column ever flowing into its own answer.
+    Global prefix and suffix XOR accumulations, cut at each column's group
+    bounds, give each excluded-index parity without that column ever flowing
+    into its own answer.
     """
     X = np.asarray(strings, dtype=np.uint8)
     batch, n = X.shape
     starts = group_boundaries(n, m)
+    ends = np.append(starts[1:], n)
+    group = np.repeat(np.arange(m), ends - starts)
+    lo, hi, cols = starts[group], ends[group], np.arange(n)
+    pre = np.zeros((batch, n + 1), dtype=np.uint8)
+    pre[:, 1:] = np.bitwise_xor.accumulate(X, axis=1)
+    suf = np.zeros((batch, n + 1), dtype=np.uint8)
+    suf[:, :n] = np.bitwise_xor.accumulate(X[:, ::-1], axis=1)[:, ::-1]
+    others = pre[:, cols] ^ pre[:, lo] ^ suf[:, cols + 1] ^ suf[:, hi]
     pads = np.bitwise_xor.reduceat(X, starts, axis=1)
-    answers = np.empty_like(X)
-    counts = np.empty(n, dtype=np.int64)
-    for k in range(m):
-        lo = int(starts[k])
-        hi = int(starts[k + 1]) if k + 1 < m else n
-        sub = X[:, lo:hi]
-        size = hi - lo
-        pre = np.zeros((batch, size + 1), dtype=np.uint8)
-        pre[:, 1:] = np.bitwise_xor.accumulate(sub, axis=1)
-        suf = np.zeros((batch, size + 1), dtype=np.uint8)
-        suf[:, :size] = np.bitwise_xor.accumulate(sub[:, ::-1], axis=1)[:, ::-1]
-        others = pre[:, :size] ^ suf[:, 1:]
-        answers[:, lo:hi] = pads[:, k:k + 1] ^ others
-        counts[lo:hi] = size - 1
+    answers = pads[:, group] ^ others
+    counts = hi - lo - 1
     return answers, counts
 
 

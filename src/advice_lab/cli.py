@@ -2,8 +2,8 @@
 
 Subcommands: grover | box | hellman | compress | verify.  Every command takes
 --trials, --seed, --out and --format; identical configuration and seed produce
-byte-identical output files.  ADVICE_LAB_THREADS caps the worker pool.  Exit
-status 0 means every invariant checked by the run held.
+byte-identical output files.  Exit status 0 means every invariant checked by
+the run held.
 """
 
 from __future__ import annotations

@@ -157,7 +157,8 @@ def sample_R(n_elements: int, delta: float, num_queries: int, seed) -> np.ndarra
 # Inverted and good elements
 # ---------------------------------------------------------------------------
 
-def _prepared(f: PermutationOracle, family):
+def prepare(f: PermutationOracle, family):
+    """The family's advice for f and the algorithm built from it."""
     advice = family.preprocess(f)
     return advice, family.spec(advice, f.num_positions)
 
@@ -165,7 +166,7 @@ def _prepared(f: PermutationOracle, family):
 def inversion_set(f: PermutationOracle, family, threshold: float = 2.0 / 3.0) -> np.ndarray:
     """Elements x whose image the algorithm sends back to x with probability at
     least the threshold, read exactly off the final statevector."""
-    advice, alg = _prepared(f, family)
+    advice, alg = prepare(f, family)
     hits = []
     for x in range(f.num_positions):
         final, _ = run(alg, f, int(f.table[x]))
@@ -192,7 +193,7 @@ def good_set(f: PermutationOracle, family, R, params: CompressionParams) -> np.n
     """Elements of R that are inverted and whose runs put at most c/T total
     query magnitude on the rest of R."""
     R = np.asarray(sorted(int(v) for v in R), dtype=np.int64)
-    _, alg = _prepared(f, family)
+    _, alg = prepare(f, family)
     return np.array(_good_elements(f, alg, R, params), dtype=np.int64)
 
 
@@ -272,7 +273,7 @@ def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Option
     are good (a counted failure of the randomness, not an error)."""
     n = f.num_positions
     R = np.asarray(sorted(int(v) for v in R), dtype=np.int64)
-    advice, alg = _prepared(f, family)
+    advice, alg = prepare(f, family)
     good = np.array(_good_elements(f, alg, R, params), dtype=np.int64)
     if len(good) < params.min_good:
         return None

@@ -2,10 +2,10 @@
 tables with reproducible per-trial randomness.
 
 One top-level seed drives everything; trial t uses the stream derived from
-spawn key (domain, t), so serial and fanned-out executions emit identical
-rows.  Every row carries the master seed and a hash of the configuration, so
-any row can be replayed.  A table's ``ok`` flag is the conjunction of its
-per-row invariant checks; the CLI maps it to the exit status.
+spawn key (domain, t), so any single trial can be rerun on its own.  Every row
+carries the master seed and a hash of the configuration, so any row can be
+replayed.  A table's ``ok`` flag is the conjunction of its per-row invariant
+checks; the CLI maps it to the exit status.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,19 +69,13 @@ def config_hash(config: dict) -> str:
 
 
 def pool_size() -> int:
-    env = os.environ.get("ADVICE_LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    """Trials run one at a time; kept as a name for the benchmark's reports."""
+    return 1
 
 
 def fan_out(worker, count: int) -> list:
-    """Run worker(0..count-1) over a thread pool; results come back in trial
-    order regardless of completion order."""
-    if count <= 1 or pool_size() == 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=pool_size()) as ex:
-        return list(ex.map(worker, range(count)))
+    """Run worker(0..count-1) in trial order: the one trial loop of every command."""
+    return [worker(i) for i in range(count)]
 
 
 def _finish(table: ResultTable) -> ResultTable:
@@ -245,8 +237,7 @@ def compress_trial(f: PermutationOracle, family, R, params) -> dict:
         compress_mod.encoding_from_json(compress_mod.encoding_to_json(enc), n) == enc)
 
     good = compress_mod.good_set(f, family, np.asarray(R), params)
-    advice = family.preprocess(f)
-    alg = family.spec(advice, n)
+    alg = family.spec(enc.advice, n)
     sampled = set(int(v) for v in R)
     known = {int(z): int(f.table[z]) for z in range(n) if z not in sampled}
     max_dist = 0.0
@@ -275,7 +266,7 @@ def cmd_compress(n: int, delta: float, c: float, trials: int, seed: int,
     params = compress_mod.CompressionParams(delta=delta, c=c, min_good=min_good)
     family = LookupInversion(verify=True)
     f = PermutationOracle(stream_rng(seed, 0).permutation(n))
-    probe = family.spec(family.preprocess(f), n)
+    _, probe = compress_mod.prepare(f, family)
 
     def worker(t: int) -> dict:
         R = compress_mod.sample_R(n, delta, probe.num_queries, stream_rng(seed, 1, t))
@@ -299,13 +290,24 @@ def cmd_compress(n: int, delta: float, c: float, trials: int, seed: int,
 # verification suites
 # ---------------------------------------------------------------------------
 
+def _swapped_permutations(rng: np.random.Generator, n: int):
+    """A random permutation f, f with two images swapped, and the first
+    swapped position a."""
+    f = rng.permutation(n)
+    a, b = rng.choice(n, size=2, replace=False)
+    f2 = f.copy()
+    f2[[a, b]] = f2[[b, a]]
+    return f, f2, a
+
+
+def _parity_algorithm(bits, m: int, j: int):
+    return parity_box_algorithm(advice_mod.parity_preprocess(bits, m), j)
+
+
 def _swap_instance(rng: np.random.Generator, n: int, kind: str):
     """One (algorithm, oracle pair, input) triple for the perturbation check."""
     if kind == "grover":
-        f = rng.permutation(n)
-        a, b = rng.choice(n, size=2, replace=False)
-        f2 = f.copy()
-        f2[[a, b]] = f2[[b, a]]
+        f, f2, a = _swapped_permutations(rng, n)
         y = int(f[a]) if rng.random() < 0.7 else int(rng.integers(n))
         # Three rounds keep the magnitude mass on a queried disagreement set
         # high enough that the bound clears the diameter 2 of the unit sphere;
@@ -319,18 +321,13 @@ def _swap_instance(rng: np.random.Generator, n: int, kind: str):
         other = bits.copy()
         other[flips] ^= 1
         j = int(rng.integers(n))
-        pad = advice_mod.parity_preprocess(bits, m)
-        alg = parity_box_algorithm(pad, j)
+        alg = _parity_algorithm(bits, m, j)
         return alg, BitStringOracle(bits, forbidden=j), BitStringOracle(other, forbidden=j), j
     if kind == "hellman":
-        f = rng.permutation(n)
-        a, b = rng.choice(n, size=2, replace=False)
-        f2 = f.copy()
-        f2[[a, b]] = f2[[b, a]]
+        f, f2, _ = _swapped_permutations(rng, n)
         y = int(rng.integers(n))
-        family = HellmanInversion(s=2)
         oracle = PermutationOracle(f)
-        alg = family.spec(family.preprocess(oracle), n)
+        _, alg = compress_mod.prepare(oracle, HellmanInversion(s=2))
         return alg, oracle, PermutationOracle(f2), y
     raise ValueError(f"unknown swap instance kind {kind!r}")
 
@@ -368,10 +365,7 @@ def tv_trials(trials: int, seed: int) -> list:
         if kind == "grover":
             n = 8
             alg = grover_spec(n, default_grover_iterations(n))
-            f = rng.permutation(n)
-            a, b = rng.choice(n, size=2, replace=False)
-            f2 = f.copy()
-            f2[[a, b]] = f2[[b, a]]
+            f, f2, a = _swapped_permutations(rng, n)
             y = int(f[a])
             state_a, _ = run(alg, PermutationOracle(f), y)
             state_b, _ = run(alg, PermutationOracle(f2), y)
@@ -431,8 +425,7 @@ def expectation_trials(trials: int, seed: int, n: int = 16, z_samples: int = 10_
         if kind == "box-grover":
             alg = masked_box_grover(n)
         else:
-            m = 2 if kind == "parity2" else 4
-            alg = parity_box_algorithm(advice_mod.parity_preprocess(bits, m), j)
+            alg = _parity_algorithm(bits, 2 if kind == "parity2" else 4, j)
         oracle = BitStringOracle(bits, forbidden=j)
         _, trace = run(alg, oracle, j)
         rep = expectation_check(trace.totals, j, alg.num_queries, rng, z_samples)
@@ -459,29 +452,17 @@ def eq2_trials(trials: int, seed: int) -> list:
             f = PermutationOracle(rng.permutation(n))
             alg = grover_spec(n, default_grover_iterations(n))
             _, trace = run(alg, f, int(rng.integers(n)))
-        elif kind == "lookup":
+        elif kind in ("lookup", "hellman"):
             n = 16
             f = PermutationOracle(rng.permutation(n))
-            family = LookupInversion(verify=True)
-            alg = family.spec(family.preprocess(f), n)
+            family = LookupInversion(verify=True) if kind == "lookup" else HellmanInversion(s=2)
+            _, alg = compress_mod.prepare(f, family)
             _, trace = run(alg, f, int(rng.integers(n)))
-        elif kind == "hellman":
-            n = 16
-            f = PermutationOracle(rng.permutation(n))
-            family = HellmanInversion(s=2)
-            alg = family.spec(family.preprocess(f), n)
-            _, trace = run(alg, f, int(rng.integers(n)))
-        elif kind == "parity":
+        elif kind in ("parity", "box-grover"):
             n = 16
             bits = rng.integers(0, 2, size=n)
             j = int(rng.integers(n))
-            alg = parity_box_algorithm(advice_mod.parity_preprocess(bits, 4), j)
-            _, trace = run(alg, BitStringOracle(bits, forbidden=j), j)
-        elif kind == "box-grover":
-            n = 16
-            bits = rng.integers(0, 2, size=n)
-            j = int(rng.integers(n))
-            alg = masked_box_grover(n)
+            alg = _parity_algorithm(bits, 4, j) if kind == "parity" else masked_box_grover(n)
             _, trace = run(alg, BitStringOracle(bits, forbidden=j), j)
         else:
             alg = haar_scrambler(BasisLayout(8, 2, 2), 8, int(rng.integers(2 ** 31)))

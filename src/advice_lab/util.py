@@ -8,7 +8,11 @@ NORM_TOL = 1e-9
 
 
 def int_to_bits(value: int, n: int) -> np.ndarray:
-    """Unpack an n-bit integer into a uint8 array, index 0 = least significant bit."""
+    """Unpack an n-bit integer into a uint8 array, index 0 = least significant bit.
+
+    Raises ValueError when the value is negative or needs more than n bits."""
+    if not 0 <= int(value) < 1 << n:
+        raise ValueError(f"{value} does not fit in {n} unsigned bits")
     return (value >> np.arange(n)) & 1
 
 
@@ -36,8 +40,8 @@ def ceil_log2(m: int) -> int:
 
 
 def trial_seed_seq(master_seed: int, trial: int) -> np.random.SeedSequence:
-    """Counter-based seed split: child streams are independent and identical
-    whether trials run serially or fanned out over a pool."""
+    """Counter-based seed split: each trial draws from its own independent
+    stream, so any single trial can be replayed without running the others."""
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,))
 
 

@@ -147,6 +147,12 @@ class TestHellmanFamily:
             assert set(np.unique(trace.per_step)) <= {0.0, 1.0}
             assert trace.totals.sum() == float(alg.num_queries)
 
+    def test_cycle_count_overflow_raises(self):
+        # the identity at N=2^16 has 2^16 cycles, one more than the 16-bit
+        # count field holds
+        with pytest.raises(ValueError):
+            HellmanInversion(1).preprocess(PermutationOracle(np.arange(1 << 16)))
+
     def test_distinct_runs_share_nothing(self):
         f = PermutationOracle(np.random.default_rng(9).permutation(16))
         family = HellmanInversion(s=2)
