@@ -79,10 +79,7 @@ def parity_box_algorithm(pad: advice_mod.ParityPad, j: int) -> AlgorithmSpec:
     j's group, fold the answers into the workspace parity, then fold in the
     group's advice bit.  The result lands in the workspace register."""
     n = pad.num_positions
-    k = pad.group_of(j)
-    lo, hi = pad.group_bounds(k)
-    members = [z for z in range(lo, hi) if z != j]
-    pad_bit = int(pad.parities[k])
+    members, pad_bit = pad.reads(j)
     num_queries = len(members)
     layout = BasisLayout(n, 2, 2)
 
@@ -214,18 +211,11 @@ class LookupInversion:
         )
 
 
-_COUNT_FIELD = 16  # fixed-width fields in serialized iterate tables
-
-
 @dataclass(frozen=True)
 class HellmanInversion:
-    """Anchor-table inversion embedded as a query algorithm.
-
-    The walk state lives in the registers: position = last queried element,
-    answer = its image, workspace flags whether we are still hunting for an
-    anchor (0) or already walking toward the preimage (1).  The query budget is
-    fixed at 2s + 2; once the preimage is found the walk parks on it and the
-    remaining queries re-query it.
+    """Anchor-table inversion (``advice.hellman_walk``) embedded as a query
+    algorithm.  The query budget is fixed at 2s + 2; once the preimage is
+    found the walk parks on it and the remaining queries re-query it.
     """
 
     s: int
@@ -235,63 +225,19 @@ class HellmanInversion:
         return f"hellman[s={self.s}]"
 
     def preprocess(self, f: PermutationOracle) -> str:
-        table = advice_mod.hellman_build(f, self.s)
-        n = table.n
-        chunks = [bitstring(int_to_bits(len(table.cycles), _COUNT_FIELD))]
-        for cycle in table.cycles:
-            chunks.append(bitstring(int_to_bits(len(cycle), _COUNT_FIELD)))
-            for left, right, _stride in cycle:
-                chunks.append(bitstring(int_to_bits(left, n)))
-                chunks.append(bitstring(int_to_bits(right, n)))
-        return "".join(chunks)
+        return advice_mod.hellman_build(f, self.s).to_bits()
 
     def parse_advice(self, advice: str, n_elements: int) -> dict[int, int]:
-        n = ceil_log2(n_elements)
-        bits = parse_bitstring(advice)
-        pos = 0
-
-        def take(width):
-            nonlocal pos
-            val = bits_to_int(bits[pos:pos + width])
-            pos += width
-            return val
-
-        rights = {}
-        for _ in range(take(_COUNT_FIELD)):
-            for _ in range(take(_COUNT_FIELD)):
-                left = take(n)
-                right = take(n)
-                rights[right] = left
-        if pos != len(bits):
-            raise ValueError("trailing advice bits")
-        return rights
+        return advice_mod.parse_hellman_bits(advice, n_elements)
 
     def spec(self, advice: str, n_elements: int) -> AlgorithmSpec:
-        rights = self.parse_advice(advice, n_elements)
+        anchors = self.parse_advice(advice, n_elements)
         layout = BasisLayout(n_elements, n_elements, 2)
-
-        def transition_factory(run_input):
-            y = int(run_input)
-
-            def transition(t, pos, ans, work):
-                if t == 0:
-                    if y in rights:
-                        return rights[y], 0, 1
-                    return y, 0, 0
-                if work == 0:
-                    if ans in rights:
-                        return rights[ans], 0, 1
-                    return ans, 0, 0
-                if ans == y:
-                    return pos, 0, 1  # parked on the preimage
-                return ans, 0, 1
-            return transition
-
         return AlgorithmSpec(
             name=self.name,
             layout=layout,
             num_queries=2 * self.s + 2,
-            steps=pointmass_steps(layout, transition_factory),
+            steps=pointmass_steps(layout, lambda y: advice_mod.hellman_walk(anchors, int(y))),
             output_register="position",
             advice=advice,
         )

@@ -4,18 +4,21 @@ Two structures live here: per-group parity pads, which answer single-bit
 queries about a string while skipping one index, and anchor tables built from
 iterates of a permutation, which invert it with a bounded number of forward
 evaluations.  Both carry exact bit-size accounting and JSON round-trips.
+Each structure's reads, walk and advice bits are defined here once; the
+statevector adapters embed these same definitions.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .qsim import BitStringOracle, PermutationOracle
-from .util import bitstring, ceil_log2, parse_bitstring
+from .util import bits_to_int, bitstring, ceil_log2, int_to_bits, parse_bitstring
 
 
 class CorruptTableError(RuntimeError):
@@ -39,10 +42,16 @@ class ParityPad:
     parities: np.ndarray    # m bits
 
     def __post_init__(self):
-        object.__setattr__(self, "boundaries", np.asarray(self.boundaries, dtype=np.int64))
-        object.__setattr__(self, "parities", np.asarray(self.parities, dtype=np.uint8))
-        if len(self.boundaries) != len(self.parities):
+        boundaries, parities = np.asarray(self.boundaries), np.asarray(self.parities)
+        if len(boundaries) != len(parities):
             raise ValueError("one parity per group")
+        if (len(boundaries) == 0 or boundaries[0] != 0 or np.any(np.diff(boundaries) <= 0)
+                or boundaries[-1] >= self.num_positions):
+            raise ValueError("group starts must begin at 0, strictly increase and stay below N")
+        if np.any((parities != 0) & (parities != 1)):
+            raise ValueError("parities must be 0/1")
+        object.__setattr__(self, "boundaries", boundaries.astype(np.int64))
+        object.__setattr__(self, "parities", parities.astype(np.uint8))
 
     @property
     def m(self) -> int:
@@ -59,6 +68,15 @@ class ParityPad:
         lo = int(self.boundaries[k])
         hi = int(self.boundaries[k + 1]) if k + 1 < self.m else self.num_positions
         return lo, hi
+
+    def reads(self, j: int) -> tuple[np.ndarray, int]:
+        """What answering bit j reads: the other positions of j's group, and
+        the group's pad bit."""
+        if not 0 <= j < self.num_positions:
+            raise ValueError("index out of range")
+        k = self.group_of(j)
+        lo, hi = self.group_bounds(k)
+        return np.r_[lo:j, j + 1:hi], int(self.parities[k])
 
     def to_json(self) -> str:
         return json.dumps({
@@ -93,14 +111,8 @@ def parity_preprocess(bits, m: int) -> ParityPad:
 def parity_answer(j: int, pad: ParityPad, oracle) -> tuple[int, int]:
     """Recover bit j by reading every other bit of j's group and folding in the
     group's recorded parity.  Returns (bit, number of positions read)."""
-    x = _as_bits(oracle)
-    if not 0 <= j < pad.num_positions:
-        raise ValueError("index out of range")
-    k = pad.group_of(j)
-    lo, hi = pad.group_bounds(k)
-    others = np.r_[lo:j, j + 1:hi]
-    b = int(np.bitwise_xor.reduce(x[others])) if len(others) else 0
-    return int(pad.parities[k]) ^ b, len(others)
+    others, pad_bit = pad.reads(j)
+    return pad_bit ^ int(np.bitwise_xor.reduce(_as_bits(oracle)[others])), len(others)
 
 
 def parity_answer_sweep(strings: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,11 +178,24 @@ class HellmanTable:
 
     def rights(self) -> dict[int, tuple[int, int]]:
         """Map each pair's right element to (left element, stride)."""
-        out = {}
+        return {right: (left, stride) for cycle in self.cycles for left, right, stride in cycle}
+
+    @cached_property
+    def anchors(self) -> dict[int, int]:
+        """Map each pair's right element to its left element: hellman_walk's jumps."""
+        return {right: left for cycle in self.cycles for left, right, _stride in cycle}
+
+    def to_bits(self) -> str:
+        """The stored advice: per cycle, its pair count in ceil_log2(N + 1)
+        bits, then each pair's left and right in n bits each (integers least
+        significant bit first).  Exactly bit_size + header_bits long."""
+        width = ceil_log2(self.num_positions + 1)
+        fields = []
         for cycle in self.cycles:
-            for left, right, stride in cycle:
-                out[right] = (left, stride)
-        return out
+            fields.append(int_to_bits(len(cycle), width))
+            for left, right, _stride in cycle:
+                fields += [int_to_bits(left, self.n), int_to_bits(right, self.n)]
+        return "".join(bitstring(field) for field in fields)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -230,29 +255,63 @@ def hellman_build(f, s: int) -> HellmanTable:
     return HellmanTable(n, s, tuple(cycles))
 
 
+def parse_hellman_bits(advice: str, num_positions: int) -> dict[int, int]:
+    """Read HellmanTable.to_bits records until the bits run out, into the
+    anchors map {right: left}.  Raises ValueError on a record cut short or a
+    pair count of zero."""
+    n = ceil_log2(num_positions)
+    width = ceil_log2(num_positions + 1)
+    bits = parse_bitstring(advice)
+    weights = 1 << np.arange(n, dtype=np.int64)
+    anchors = {}
+    pos = 0
+    while pos < len(bits):
+        count = bits_to_int(bits[pos:pos + width])
+        end = pos + width + count * 2 * n
+        if end > len(bits):
+            raise ValueError("anchor record cut short")
+        if count == 0:
+            raise ValueError("anchor record with no pairs")
+        values = (bits[pos + width:end].reshape(2 * count, n) @ weights).tolist()
+        anchors.update(zip(values[1::2], values[0::2]))
+        pos = end
+    return anchors
+
+
+def hellman_walk(anchors: dict[int, int], y: int):
+    """The anchor-table inversion walk for image y, one transition per query:
+    ``transition(t, pos, ans, work) -> (pos, ans, work)``.
+
+    Position holds the element queried next and answer its image.  Workspace
+    is 0 while the walk hunts forward from y for an anchor's right element and
+    1 once it has jumped back to that anchor's left element and walks toward
+    the preimage.  When a query answers y in walk mode the walk parks: the
+    preimage stays in position from then on.
+    """
+
+    def transition(t, pos, ans, work):
+        if t == 0:
+            ans, work = y, 0
+        if work == 0:
+            return (anchors[ans], 0, 1) if ans in anchors else (ans, 0, 0)
+        return (pos if ans == y else ans), 0, 1
+
+    return transition
+
+
 def hellman_invert(y: int, table: HellmanTable, f) -> tuple[int, int]:
-    """Walk forward from y to an anchor's right element, jump back to its left,
-    then walk forward again to the predecessor of y.  Returns (x, evaluations
-    of f); the count stays within 2s + 2."""
+    """Drive hellman_walk for y against f until it parks on the preimage.
+    Returns (x, evaluations of f); the count stays within 2s + 2.  Raises
+    CorruptTableError once 2N + 1 evaluations pass without parking."""
     fn = _as_fn(f)
-    n_elems = table.num_positions
-    lookup = table.rights()
-    calls = 0
-    z = y
-    while z not in lookup:
-        z = fn(z)
-        calls += 1
-        if calls > n_elems:
-            raise CorruptTableError("walk found no anchor within the cycle bound")
-    left, _stride = lookup[z]
-    w = left
-    for _ in range(n_elems + 1):
-        fw = fn(w)
-        calls += 1
-        if fw == y:
-            return w, calls
-        w = fw
-    raise CorruptTableError("forward walk missed the preimage")
+    transition = hellman_walk(table.anchors, y)
+    pos, _, work = transition(0, 0, 0, 0)
+    for calls in range(1, 2 * table.num_positions + 2):
+        ans = fn(pos)
+        if work == 1 and ans == y:
+            return pos, calls
+        pos, _, work = transition(calls, pos, ans, work)
+    raise CorruptTableError("the walk did not park within 2N + 1 evaluations")
 
 
 def measure_tradeoff(f, s: int) -> dict:

@@ -408,19 +408,26 @@ def encoding_to_json(enc: Encoding) -> str:
 
 def encoding_from_json(payload: str, num_elements: int) -> Encoding:
     doc = json.loads(payload)
-    s_bits = doc["S"]
-    raw = np.frombuffer(base64.b64decode(doc["advice"].encode("ascii")), dtype=np.uint8)
+    try:
+        s_bits, good_count, r_size = doc["S"], doc["good_count"], doc["r_size"]
+        advice, logical_bits = doc["advice"], doc["logical_bits"]
+        fR, outer, fG, inner = (doc["ranks"][k] for k in ("fR", "outer", "fG", "inner"))
+    except (KeyError, TypeError) as exc:
+        raise CorruptEncodingError(f"envelope field missing: {exc}") from exc
+    if not all(type(v) is int for v in (s_bits, good_count, r_size)):
+        raise CorruptEncodingError("S, good_count and r_size must be integers")
+    raw = np.frombuffer(base64.b64decode(advice.encode("ascii")), dtype=np.uint8)
     bits = np.unpackbits(raw)[:s_bits] if s_bits else np.zeros(0, dtype=np.uint8)
     enc = Encoding(
         num_elements=num_elements,
         advice="".join("1" if b else "0" for b in bits),
-        good_count=doc["good_count"],
-        r_size=doc["r_size"],
-        fR_rank=_unblob(doc["ranks"]["fR"]),
-        outer_rank=_unblob(doc["ranks"]["outer"]),
-        fG_rank=_unblob(doc["ranks"]["fG"]),
-        inner_rank=_unblob(doc["ranks"]["inner"]),
+        good_count=good_count,
+        r_size=r_size,
+        fR_rank=_unblob(fR),
+        outer_rank=_unblob(outer),
+        fG_rank=_unblob(fG),
+        inner_rank=_unblob(inner),
     )
-    if enc.logical_bits != doc["logical_bits"]:
+    if enc.logical_bits != logical_bits:
         raise CorruptEncodingError("stored logical length disagrees with the components")
     return enc

@@ -29,7 +29,11 @@ def bitstring(bits) -> str:
 
 
 def parse_bitstring(s: str) -> np.ndarray:
-    return np.array([1 if ch == "1" else 0 for ch in s], dtype=np.uint8)
+    """'0'/'1' characters to a uint8 array; any other character raises ValueError."""
+    bits = np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")
+    if np.any(bits > 1):
+        raise ValueError("bit string holds a character other than '0' or '1'")
+    return bits
 
 
 def ceil_log2(m: int) -> int:

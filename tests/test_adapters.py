@@ -11,7 +11,7 @@ from advice_lab.adapters import (
     masked_box_grover,
     parity_box_algorithm,
 )
-from advice_lab.advice import hellman_build, parity_preprocess
+from advice_lab.advice import hellman_build, hellman_invert, parity_preprocess
 from advice_lab.qsim import (
     BasisLayout,
     BitStringOracle,
@@ -147,11 +147,37 @@ class TestHellmanFamily:
             assert set(np.unique(trace.per_step)) <= {0.0, 1.0}
             assert trace.totals.sum() == float(alg.num_queries)
 
-    def test_cycle_count_overflow_raises(self):
-        # the identity at N=2^16 has 2^16 cycles, one more than the 16-bit
-        # count field holds
-        with pytest.raises(ValueError):
-            HellmanInversion(1).preprocess(PermutationOracle(np.arange(1 << 16)))
+    def test_identity_roundtrip_at_most_cycles(self):
+        # the identity has N one-element cycles, the most a table can have
+        table = hellman_build(np.arange(1024), 1)
+        advice = HellmanInversion(1).preprocess(PermutationOracle(np.arange(1024)))
+        assert HellmanInversion(1).parse_advice(advice, 1024) == {x: x for x in range(1024)}
+        assert len(advice) == table.bit_size + table.header_bits
+
+    @pytest.mark.parametrize("n", [2, 16, 128, 1024])
+    def test_advice_length_is_reported_size(self, n):
+        f = PermutationOracle(np.random.default_rng(n).permutation(n))
+        for s in sorted({min(n, s) for s in (1, 2, 3, n // 16 or 1, n // 2, n)}):
+            table = hellman_build(f, s)
+            assert len(HellmanInversion(s).preprocess(f)) == table.bit_size + table.header_bits
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("s", [1, 2, 4])
+    def test_embedded_walk_matches_hellman_invert(self, n, s):
+        # the classical inversion evaluates f exactly where the embedded run
+        # queries before it parks, and the run's final position is its answer
+        f = PermutationOracle(np.random.default_rng(100 + n + s).permutation(n))
+        table = hellman_build(f, s)
+        family = HellmanInversion(s)
+        alg = family.spec(family.preprocess(f), n)
+        for y in range(n):
+            evaluated = []
+            x, calls = hellman_invert(y, table, lambda z: evaluated.append(z) or int(f.table[z]))
+            final, trace = run(alg, f, y)
+            queried = np.argmax(trace.per_step, axis=1).tolist()
+            assert evaluated == queried[:calls]
+            assert queried[calls:] == [x] * (alg.num_queries - calls)
+            assert measurement_distribution(final, "position")[x] == 1.0
 
     def test_distinct_runs_share_nothing(self):
         f = PermutationOracle(np.random.default_rng(9).permutation(16))

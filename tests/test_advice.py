@@ -17,6 +17,7 @@ from advice_lab.advice import (
     parity_answer,
     parity_answer_sweep,
     parity_preprocess,
+    parse_hellman_bits,
 )
 from advice_lab.util import ceil_log2
 
@@ -96,6 +97,29 @@ class TestParityPad:
         assert np.array_equal(clone.boundaries, pad.boundaries)
         assert np.array_equal(clone.parities, pad.parities)
         assert pad.to_json() == clone.to_json()
+
+    @pytest.mark.parametrize("boundaries, parities", [
+        ([], []),              # no groups
+        ([1, 4], [0, 1]),      # does not start at 0
+        ([0, 4, 4], [0, 1, 0]),  # empty group
+        ([0, 5, 3], [0, 1, 0]),  # decreasing
+        ([0, 8], [0, 1]),      # group starts past the end
+        ([0, 4], [0, 2]),      # parity is not a bit
+    ])
+    def test_rejects_malformed_pads(self, boundaries, parities):
+        with pytest.raises(ValueError):
+            ParityPad(8, boundaries, parities)
+
+    def test_rejects_malformed_json(self):
+        with pytest.raises(ValueError):
+            ParityPad.from_json('{"m":2,"boundaries":[3,1],"parities":"12"}', 8)
+
+    def test_answer_index_out_of_range(self):
+        bits = np.zeros(8, dtype=int)
+        pad = parity_preprocess(bits, 2)
+        for j in (-1, 8):
+            with pytest.raises(ValueError):
+                parity_answer(j, pad, bits)
 
 
 class TestIterate:
@@ -201,6 +225,24 @@ class TestHellmanTable:
         table = hellman_build(f, 8)
         assert table.bit_size == table.entry_count * 2 * 6
         assert table.header_bits == len(table.cycles) * ceil_log2(65)
+
+    def test_bits_parse_back_to_anchors(self):
+        f = np.random.default_rng(12).permutation(32)
+        for s in (1, 3, 32):
+            table = hellman_build(f, s)
+            assert parse_hellman_bits(table.to_bits(), 32) == table.anchors
+            assert table.anchors == {r: left for r, (left, _) in table.rights().items()}
+
+    def test_parse_rejects_cut_and_empty_records(self):
+        bits = hellman_build(np.random.default_rng(13).permutation(32), 4).to_bits()
+        width = ceil_log2(33)
+        for bad in (bits[:-1], bits + "1", bits[:width - 1]):
+            with pytest.raises(ValueError, match="cut short"):
+                parse_hellman_bits(bad, 32)
+        with pytest.raises(ValueError, match="no pairs"):
+            parse_hellman_bits("0" * width + bits, 32)
+        with pytest.raises(ValueError):
+            parse_hellman_bits(bits[:-1] + "2", 32)
 
     def test_json_roundtrip_bit_exact(self):
         f = np.random.default_rng(10).permutation(64)

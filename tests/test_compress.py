@@ -438,6 +438,27 @@ class TestEnvelope:
         with pytest.raises(CorruptEncodingError):
             encoding_from_json(json.dumps(doc), 16)
 
+    @pytest.mark.parametrize("path", [("S",), ("good_count",), ("r_size",), ("advice",),
+                                      ("logical_bits",), ("ranks",), ("ranks", "fG")])
+    def test_missing_field_rejected(self, path):
+        import json
+        doc = json.loads(encoding_to_json(self._encoding()))
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        del owner[path[-1]]
+        with pytest.raises(CorruptEncodingError):
+            encoding_from_json(json.dumps(doc), 16)
+
+    @pytest.mark.parametrize("key, value", [("S", "64"), ("S", 64.0), ("good_count", 1.5),
+                                            ("r_size", None), ("good_count", True)])
+    def test_non_integer_count_rejected(self, key, value):
+        import json
+        doc = json.loads(encoding_to_json(self._encoding()))
+        doc[key] = value
+        with pytest.raises(CorruptEncodingError):
+            encoding_from_json(json.dumps(doc), 16)
+
     def test_bad_blob_rejected(self):
         import json
         enc = self._encoding()
