@@ -20,7 +20,6 @@ from advice_lab import (
     decode,
     encode,
     encoding_to_json,
-    good_set,
     inversion_set,
     length_bound_bits,
     sample_R,
@@ -44,14 +43,12 @@ def main():
           f"(threshold 2/3, read exactly off the statevector)")
 
     R = sample_R(n, params.delta, 1, rng)
-    good = good_set(f, family, R, params)
     print(f"\n  sampled R = {R.tolist()}")
-    print(f"  good elements (inverted, stray mass on R under c/T): {good.tolist()}")
-
     enc = encode(f, family, R, params)
     if enc is None:
         print("  encoding failed (too few good elements) -- redraw R")
         return
+    print(f"  good elements (inverted, stray mass on R under c/T): {sorted(enc.runs)}")
     print("\n  component bit accounting:")
     for name, bits in enc.component_bits().items():
         print(f"    {name:>7}: {bits:>4} bits")

@@ -88,7 +88,13 @@ class ParityPad:
     @classmethod
     def from_json(cls, payload: str, num_positions: int) -> "ParityPad":
         doc = json.loads(payload)
-        return cls(num_positions, np.array(doc["boundaries"]), parse_bitstring(doc["parities"]))
+        try:
+            boundaries, parities = doc["boundaries"], doc["parities"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"parity pad field missing: {exc!r}") from exc
+        if not isinstance(parities, str):
+            raise ValueError("parities must be a bit string")
+        return cls(num_positions, np.array(boundaries), parse_bitstring(parities))
 
 
 def group_boundaries(n: int, m: int) -> np.ndarray:
@@ -207,9 +213,34 @@ class HellmanTable:
 
     @classmethod
     def from_json(cls, payload: str) -> "HellmanTable":
+        """Load a table, raising ValueError on a missing field, a non-integer
+        value, n < 1, s outside [1, 2^n], a cycle with no anchors, an element
+        outside [0, 2^n) or a stride below 1."""
         doc = json.loads(payload)
-        cycles = tuple(tuple((a, b, st) for a, b, st in cyc["anchors"]) for cyc in doc["cycles"])
-        return cls(doc["n"], doc["s"], cycles)
+        try:
+            n, s = doc["n"], doc["s"]
+            cycles = tuple(tuple((a, b, st) for a, b, st in cyc["anchors"]) for cyc in doc["cycles"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"anchor table field missing: {exc!r}") from exc
+        if any(type(v) is not int for v in (n, s, *(v for c in cycles for pair in c for v in pair))):
+            raise ValueError("anchor table values must be integers")
+        if n < 1:
+            raise ValueError("n must be at least 1")
+
+        def below_size(v: int) -> bool:  # 0 <= v < 2^n, without building 2^n
+            return v >= 0 and v.bit_length() <= n
+
+        if not (s >= 1 and below_size(s - 1)):
+            raise ValueError("s outside [1, 2^n]")
+        for cycle in cycles:
+            if not cycle:
+                raise ValueError("cycle with no anchors")
+            for left, right, stride in cycle:
+                if not (below_size(left) and below_size(right)):
+                    raise ValueError("anchor element outside [0, 2^n)")
+                if stride < 1:
+                    raise ValueError("anchor stride below 1")
+        return cls(n, s, cycles)
 
 
 def iterate(f, x: int, s: int) -> int:

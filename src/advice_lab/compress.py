@@ -16,12 +16,12 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .qsim import FunctionOracle, PermutationOracle, measurement_distribution, run
+from .qsim import FunctionOracle, PermutationOracle, PureState, measurement_distribution, run
 from .util import ceil_log2, parse_bitstring
 
 ARGMAX_TOL = 1e-9
@@ -175,9 +175,12 @@ def inversion_set(f: PermutationOracle, family, threshold: float = 2.0 / 3.0) ->
     return np.array(hits, dtype=np.int64)
 
 
-def _good_elements(f: PermutationOracle, alg, R: np.ndarray, params: CompressionParams) -> list[int]:
+def _good_elements(f: PermutationOracle, alg, R: np.ndarray,
+                   params: CompressionParams) -> dict[int, PureState]:
+    """Each good element of R, in R's order, mapped to the final state of its
+    run against f."""
     threshold = params.c / alg.num_queries if alg.num_queries > 0 else math.inf
-    good = []
+    good = {}
     for x in R:
         y = int(f.table[x])
         final, trace = run(alg, f, y)
@@ -185,7 +188,7 @@ def _good_elements(f: PermutationOracle, alg, R: np.ndarray, params: Compression
             continue
         stray_mass = float(trace.totals[R].sum() - trace.totals[x])
         if stray_mass <= threshold:
-            good.append(int(x))
+            good[int(x)] = final
     return good
 
 
@@ -194,7 +197,7 @@ def good_set(f: PermutationOracle, family, R, params: CompressionParams) -> np.n
     query magnitude on the rest of R."""
     R = np.asarray(sorted(int(v) for v in R), dtype=np.int64)
     _, alg = prepare(f, family)
-    return np.array(_good_elements(f, alg, R, params), dtype=np.int64)
+    return np.array(list(_good_elements(f, alg, R, params)), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +206,13 @@ def good_set(f: PermutationOracle, family, R, params: CompressionParams) -> np.n
 
 @dataclass(frozen=True)
 class Encoding:
-    """Six-component compressed permutation; ranks are exact big integers."""
+    """Six-component compressed permutation; ranks are exact big integers.
+
+    ``runs`` maps each good element to the final state of its run against f.
+    The encoder fills it so the caller can audit those runs without redoing
+    them; it is not part of the encoding: the envelope does not store it,
+    equality ignores it, and decode never reads it.
+    """
 
     num_elements: int
     advice: str
@@ -213,6 +222,7 @@ class Encoding:
     outer_rank: int
     fG_rank: int
     inner_rank: int
+    runs: dict[int, PureState] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.good_count <= self.r_size <= self.num_elements:
@@ -270,13 +280,15 @@ def build_h(known: dict[int, int], R, y: int) -> FunctionOracle:
 
 def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Optional[Encoding]:
     """Emit the six components, or None when fewer than min_good elements of R
-    are good (a counted failure of the randomness, not an error)."""
+    are good (a counted failure of the randomness, not an error).  The good
+    elements' runs against f ride along in ``Encoding.runs``."""
     n = f.num_positions
     R = np.asarray(sorted(int(v) for v in R), dtype=np.int64)
     advice, alg = prepare(f, family)
-    good = np.array(_good_elements(f, alg, R, params), dtype=np.int64)
-    if len(good) < params.min_good:
+    runs = _good_elements(f, alg, R, params)
+    if len(runs) < params.min_good:
         return None
+    good = np.array(list(runs), dtype=np.int64)
 
     fR = np.sort(f.table[R])
     outside = np.setdiff1d(np.arange(n), R, assume_unique=True)
@@ -297,6 +309,7 @@ def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Option
         outer_rank=rank_perm(outer),
         fG_rank=rank_set(np.searchsorted(fR, fG)),
         inner_rank=rank_perm(inner),
+        runs=runs,
     )
 
 
@@ -381,8 +394,17 @@ def _blob(value: int) -> str:
     return base64.b64encode(len(payload).to_bytes(4, "big") + payload).decode("ascii")
 
 
-def _unblob(text: str) -> int:
-    raw = base64.b64decode(text.encode("ascii"))
+def _b64decode(text, what: str) -> bytes:
+    if not isinstance(text, str):
+        raise CorruptEncodingError(f"{what} is not a string")
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise CorruptEncodingError(f"{what} is not valid base64: {exc}") from exc
+
+
+def _unblob(text) -> int:
+    raw = _b64decode(text, "rank blob")
     length = int.from_bytes(raw[:4], "big")
     if len(raw) != 4 + length:
         raise CorruptEncodingError("bad length prefix in rank blob")
@@ -407,7 +429,12 @@ def encoding_to_json(enc: Encoding) -> str:
 
 
 def encoding_from_json(payload: str, num_elements: int) -> Encoding:
-    doc = json.loads(payload)
+    """Parse an envelope; any malformed, missing or inconsistent field raises
+    CorruptEncodingError."""
+    try:
+        doc = json.loads(payload)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise CorruptEncodingError(f"envelope is not JSON: {exc}") from exc
     try:
         s_bits, good_count, r_size = doc["S"], doc["good_count"], doc["r_size"]
         advice, logical_bits = doc["advice"], doc["logical_bits"]
@@ -416,8 +443,10 @@ def encoding_from_json(payload: str, num_elements: int) -> Encoding:
         raise CorruptEncodingError(f"envelope field missing: {exc}") from exc
     if not all(type(v) is int for v in (s_bits, good_count, r_size)):
         raise CorruptEncodingError("S, good_count and r_size must be integers")
-    raw = np.frombuffer(base64.b64decode(advice.encode("ascii")), dtype=np.uint8)
-    bits = np.unpackbits(raw)[:s_bits] if s_bits else np.zeros(0, dtype=np.uint8)
+    raw = np.frombuffer(_b64decode(advice, "advice"), dtype=np.uint8)
+    if s_bits < 0 or len(raw) != (s_bits + 7) // 8:
+        raise CorruptEncodingError("advice byte count disagrees with S")
+    bits = np.unpackbits(raw)[:s_bits]
     enc = Encoding(
         num_elements=num_elements,
         advice="".join("1" if b else "0" for b in bits),

@@ -1,5 +1,6 @@
 """Parity pads and iterate tables: correctness, accounting, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -113,6 +114,16 @@ class TestParityPad:
     def test_rejects_malformed_json(self):
         with pytest.raises(ValueError):
             ParityPad.from_json('{"m":2,"boundaries":[3,1],"parities":"12"}', 8)
+
+    @pytest.mark.parametrize("payload", [
+        '{"m": 2, "parities": "01"}',              # no boundaries
+        '{"m": 2, "boundaries": [0, 4]}',          # no parities
+        '[0, 4]',                                  # not an object
+        '{"m": 2, "boundaries": [0, 4], "parities": 5}',  # parities not a string
+    ])
+    def test_json_missing_field_is_value_error(self, payload):
+        with pytest.raises(ValueError):
+            ParityPad.from_json(payload, 8)
 
     def test_answer_index_out_of_range(self):
         bits = np.zeros(8, dtype=int)
@@ -250,6 +261,35 @@ class TestHellmanTable:
         clone = HellmanTable.from_json(table.to_json())
         assert clone == table
         assert clone.to_json() == table.to_json()
+
+    # Each case breaks one field of a valid n=3, s=2 table; the first is the
+    # table that used to load and fail only when walked or written out.
+    BAD_TABLES = {
+        "element_out_of_range": {"n": 3, "s": 2, "cycles": [{"anchors": [[9, 12, 2]]}]},
+        "n_below_one": {"n": 0, "s": 1, "cycles": [{"anchors": [[0, 0, 1]]}]},
+        "s_zero": {"n": 3, "s": 0, "cycles": [{"anchors": [[0, 2, 2]]}]},
+        "s_above_domain": {"n": 3, "s": 9, "cycles": [{"anchors": [[0, 2, 2]]}]},
+        "cycle_without_anchors": {"n": 3, "s": 2, "cycles": [{"anchors": []}]},
+        "negative_left": {"n": 3, "s": 2, "cycles": [{"anchors": [[-1, 2, 2]]}]},
+        "right_out_of_range": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 8, 2]]}]},
+        "stride_zero": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2, 0]]}]},
+        "missing_n": {"s": 2, "cycles": [{"anchors": [[0, 2, 2]]}]},
+        "missing_cycles": {"n": 3, "s": 2},
+        "missing_anchors": {"n": 3, "s": 2, "cycles": [{}]},
+        "short_anchor": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2]]}]},
+        "non_integer_element": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2.0, 2]]}]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_TABLES))
+    def test_from_json_rejects(self, case):
+        with pytest.raises(ValueError):
+            HellmanTable.from_json(json.dumps(self.BAD_TABLES[case]))
+
+    def test_from_json_keeps_valid_tables(self):
+        for n_elems, s in ((2, 1), (2, 2), (64, 64), (128, 2)):
+            table = hellman_build(np.random.default_rng(n_elems).permutation(n_elems), s)
+            payload = table.to_json()
+            assert HellmanTable.from_json(payload).to_json() == payload
 
     def test_tradeoff_band(self):
         rng = np.random.default_rng(11)

@@ -1,6 +1,7 @@
 """Codecs, sampling, good sets, encode/decode, counting arithmetic."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -466,3 +467,28 @@ class TestEnvelope:
         doc["ranks"]["fR"] = "AAAA"
         with pytest.raises(CorruptEncodingError):
             encoding_from_json(json.dumps(doc), 16)
+
+    @pytest.mark.parametrize("path, value", [
+        (("ranks", "fR"), 5),          # rank blob that is not a string
+        (("ranks", "outer"), "abc"),   # base64 with bad padding
+        (("ranks", "inner"), "AA!A"),  # character outside the base64 alphabet
+        (("ranks", "fG"), "\u00e9AAA"),  # text that is not ASCII
+        (("advice",), 7),              # advice that is not a string
+        (("advice",), "abc"),          # base64 with bad padding
+        (("advice",), "AA!A"),
+        (("S",), 72),                  # more advice bits than bytes stored
+        (("S",), -1),
+    ])
+    def test_mutated_field_rejected(self, path, value):
+        doc = json.loads(encoding_to_json(self._encoding()))
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        with pytest.raises(CorruptEncodingError):
+            encoding_from_json(json.dumps(doc), 16)
+
+    @pytest.mark.parametrize("payload", ["", "{not json", "[1, 2]", "5", '"envelope"'])
+    def test_non_envelope_text_rejected(self, payload):
+        with pytest.raises(CorruptEncodingError):
+            encoding_from_json(payload, 16)

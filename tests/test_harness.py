@@ -5,10 +5,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from advice_lab import harness
+from advice_lab import compress, harness, qsim
+from advice_lab.adapters import HellmanInversion
 from advice_lab.cli import main
+from advice_lab.qsim import PermutationOracle
 
 
 class TestCommands:
@@ -92,6 +95,40 @@ class TestReproducibility:
         build, digest = self.GOLDEN[command]
         text = harness.render_csv(build())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestCompressTrial:
+    """The audit reuses the encoder's runs; the decoder never reads them."""
+
+    F = PermutationOracle(np.random.default_rng(0).permutation(16))
+    FAMILY = HellmanInversion(2)
+    R = np.array([1, 6, 11])  # two of the three elements are good
+    PARAMS = compress.CompressionParams(0.9, 0.001)
+
+    def test_one_f_run_per_element_and_one_h_run_per_good_element(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return qsim.run(*args, **kwargs)
+
+        monkeypatch.setattr(compress, "run", counted)
+        monkeypatch.setattr(harness, "run", counted)
+        record = harness.compress_trial(self.F, self.FAMILY, self.R, self.PARAMS)
+        assert record["roundtrip_exact"] and record["h_ok"]
+        assert record["good_count"] == 2
+        # encode: every element of R against f; audit and decode: every good
+        # element against the hybrid oracle, once each.
+        assert len(calls) == len(self.R) + 2 * record["good_count"]
+
+    def test_decode_ignores_encoder_runs(self):
+        enc = compress.encode(self.F, self.FAMILY, self.R, self.PARAMS)
+        assert sorted(enc.runs) == [1, 6]
+        clone = compress.encoding_from_json(compress.encoding_to_json(enc), 16)
+        assert clone.runs == {}
+        assert clone == enc
+        decoded = compress.decode(clone, self.R, self.FAMILY, self.PARAMS)
+        assert np.array_equal(decoded, self.F.table)
 
 
 class TestEmission:
