@@ -89,11 +89,15 @@ class ParityPad:
     def from_json(cls, payload: str, num_positions: int) -> "ParityPad":
         doc = json.loads(payload)
         try:
-            boundaries, parities = doc["boundaries"], doc["parities"]
+            m, boundaries, parities = doc["m"], doc["boundaries"], doc["parities"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"parity pad field missing: {exc!r}") from exc
         if not isinstance(parities, str):
             raise ValueError("parities must be a bit string")
+        if not isinstance(boundaries, list) or any(type(b) is not int for b in boundaries):
+            raise ValueError("boundaries must be a list of integers")
+        if type(m) is not int or m != len(boundaries):
+            raise ValueError("m must be an integer equal to the number of group starts")
         return cls(num_positions, np.array(boundaries), parse_bitstring(parities))
 
 
@@ -215,7 +219,8 @@ class HellmanTable:
     def from_json(cls, payload: str) -> "HellmanTable":
         """Load a table, raising ValueError on a missing field, a non-integer
         value, n < 1, s outside [1, 2^n], a cycle with no anchors, an element
-        outside [0, 2^n) or a stride below 1."""
+        outside [0, 2^n), a stride below 1 or two pairs with the same right
+        element."""
         doc = json.loads(payload)
         try:
             n, s = doc["n"], doc["s"]
@@ -240,6 +245,9 @@ class HellmanTable:
                     raise ValueError("anchor element outside [0, 2^n)")
                 if stride < 1:
                     raise ValueError("anchor stride below 1")
+        rights = [right for cycle in cycles for _left, right, _stride in cycle]
+        if len(set(rights)) != len(rights):
+            raise ValueError("two anchor pairs share a right element")
         return cls(n, s, cycles)
 
 
@@ -288,14 +296,14 @@ def hellman_build(f, s: int) -> HellmanTable:
 
 def parse_hellman_bits(advice: str, num_positions: int) -> dict[int, int]:
     """Read HellmanTable.to_bits records until the bits run out, into the
-    anchors map {right: left}.  Raises ValueError on a record cut short or a
-    pair count of zero."""
+    anchors map {right: left}.  Raises ValueError on a record cut short, a
+    pair count of zero or two pairs with the same right element."""
     n = ceil_log2(num_positions)
     width = ceil_log2(num_positions + 1)
     bits = parse_bitstring(advice)
     weights = 1 << np.arange(n, dtype=np.int64)
     anchors = {}
-    pos = 0
+    pos = pairs = 0
     while pos < len(bits):
         count = bits_to_int(bits[pos:pos + width])
         end = pos + width + count * 2 * n
@@ -305,7 +313,9 @@ def parse_hellman_bits(advice: str, num_positions: int) -> dict[int, int]:
             raise ValueError("anchor record with no pairs")
         values = (bits[pos + width:end].reshape(2 * count, n) @ weights).tolist()
         anchors.update(zip(values[1::2], values[0::2]))
-        pos = end
+        pos, pairs = end, pairs + count
+    if len(anchors) != pairs:
+        raise ValueError("two anchor pairs share a right element")
     return anchors
 
 

@@ -20,6 +20,9 @@ from .util import NORM_TOL
 
 FORBIDDEN_MASS_TOL = 1e-12
 
+# Squared mass of any state whose norm is within NORM_TOL of 1.
+MASS_RANGE = ((1 - NORM_TOL) ** 2, (1 + NORM_TOL) ** 2)
+
 REGISTERS = ("position", "answer", "workspace")
 
 
@@ -106,37 +109,10 @@ def _check_power_of_two(n: int):
 
 
 @dataclass(frozen=True)
-class PermutationOracle:
-    """A bijection on [N], N = 2^n.  Queries XOR the n-bit value f(i) into the
-    answer register."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.int64)
-        object.__setattr__(self, "table", table)
-        n = len(table)
-        _check_power_of_two(n)
-        if not np.array_equal(np.sort(table), np.arange(n)):
-            raise ValueError("table is not a permutation")
-
-    @property
-    def num_positions(self) -> int:
-        return len(self.table)
-
-    @property
-    def answer_dim(self) -> int:
-        return len(self.table)
-
-    @property
-    def forbidden(self) -> Optional[int]:
-        return None
-
-
-@dataclass(frozen=True)
 class FunctionOracle:
-    """An arbitrary map [N] -> [N] under the same XOR convention.  Used for
-    hybrid oracles that are constant on part of the domain."""
+    """An arbitrary map [N] -> [N], N = 2^n.  Queries XOR the n-bit value f(i)
+    into the answer register.  Used for hybrid oracles that are constant on
+    part of the domain."""
 
     table: np.ndarray
 
@@ -159,6 +135,15 @@ class FunctionOracle:
     @property
     def forbidden(self) -> Optional[int]:
         return None
+
+
+class PermutationOracle(FunctionOracle):
+    """A FunctionOracle whose table is a bijection on [N]."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.array_equal(np.sort(self.table), np.arange(len(self.table))):
+            raise ValueError("table is not a permutation")
 
 
 @dataclass(frozen=True)
@@ -192,7 +177,7 @@ class BitStringOracle:
         return self.bits
 
 
-Oracle = PermutationOracle | FunctionOracle | BitStringOracle
+Oracle = FunctionOracle | BitStringOracle
 
 
 def oracle_delta(a: Oracle, b: Oracle) -> np.ndarray:
@@ -203,21 +188,27 @@ def oracle_delta(a: Oracle, b: Oracle) -> np.ndarray:
     return np.flatnonzero(ta != tb)
 
 
-def apply_oracle(state: PureState, oracle: Oracle) -> PureState:
-    """One query: basis state (i, a, w) maps to (i, a XOR table[i], w)."""
-    lay = state.layout
+def _gather_index(lay: BasisLayout, oracle: Oracle) -> np.ndarray:
+    """The query as a flat gather: ``amps[index]`` maps basis state (i, a, w)
+    to (i, a XOR table[i], w)."""
     if lay.num_positions != oracle.num_positions or lay.answer_dim != oracle.answer_dim:
         raise ValueError("state layout incompatible with oracle")
-    grid = state.grid()
-    if oracle.forbidden is not None:
-        mass = float(np.sum(np.abs(grid[oracle.forbidden]) ** 2))
-        if mass > FORBIDDEN_MASS_TOL:
-            raise ForbiddenIndexError(
-                f"query magnitude {mass:.3e} on forbidden position {oracle.forbidden}")
-    table = np.asarray(oracle.table)
-    xor_cols = np.arange(lay.answer_dim)[None, :] ^ table[:, None]
-    out = grid[np.arange(lay.num_positions)[:, None], xor_cols, :]
-    return PureState(out.reshape(lay.dim), lay)
+    grid = np.arange(lay.dim).reshape(lay.num_positions, lay.answer_dim, lay.workspace_dim)
+    xor_cols = np.arange(lay.answer_dim)[None, :] ^ np.asarray(oracle.table)[:, None]
+    return grid[np.arange(lay.num_positions)[:, None], xor_cols, :].reshape(lay.dim)
+
+
+def _check_forbidden(magnitudes: np.ndarray, oracle: Oracle) -> None:
+    if oracle.forbidden is not None and magnitudes[oracle.forbidden] > FORBIDDEN_MASS_TOL:
+        raise ForbiddenIndexError(f"query magnitude {magnitudes[oracle.forbidden]:.3e} "
+                                  f"on forbidden position {oracle.forbidden}")
+
+
+def apply_oracle(state: PureState, oracle: Oracle) -> PureState:
+    """One query: basis state (i, a, w) maps to (i, a XOR table[i], w)."""
+    index = _gather_index(state.layout, oracle)
+    _check_forbidden(query_magnitudes(state), oracle)
+    return PureState(state.amplitudes[index], state.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +217,11 @@ def apply_oracle(state: PureState, oracle: Oracle) -> PureState:
 
 def query_magnitudes(state: PureState) -> np.ndarray:
     """Squared amplitude mass per position coordinate; sums to 1."""
-    grid = state.grid()
+    return _position_mass(state.amplitudes, state.layout)
+
+
+def _position_mass(amps: np.ndarray, lay: BasisLayout) -> np.ndarray:
+    grid = amps.reshape(lay.num_positions, lay.answer_dim, lay.workspace_dim)
     return np.sum(np.abs(grid) ** 2, axis=(1, 2))
 
 
@@ -245,11 +240,11 @@ class QueryTrace:
             raise ValueError("per-step rows must match the query count")
         if per_step.size and per_step.min() < 0:
             raise ValueError("negative query magnitude")
-        if per_step.size and per_step.sum(axis=1).max() > 1 + NORM_TOL:
+        if per_step.size and per_step.sum(axis=1).max() > MASS_RANGE[1]:
             raise ValueError("a step's magnitudes exceed unit mass")
         totals = per_step.sum(axis=0) if per_step.size else np.zeros(per_step.shape[1])
         object.__setattr__(self, "totals", totals)
-        if totals.sum() > self.num_queries + NORM_TOL:
+        if totals.sum() > self.num_queries * MASS_RANGE[1]:
             raise ValueError("total query magnitude exceeds the query count")
 
 
@@ -289,27 +284,22 @@ class AlgorithmSpec:
 def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[PureState, QueryTrace]:
     """Execute: step 0, then T rounds of (record magnitudes, query, step)."""
     effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
-    lay = alg.layout
-    if lay.num_positions != effective.num_positions or lay.answer_dim != effective.answer_dim:
-        raise ValueError("algorithm layout incompatible with oracle")
+    lay, num_queries = alg.layout, alg.num_queries
+    index = _gather_index(lay, effective)
     step = alg.steps(run_input)
-    amps = basis_state(lay, 0).amplitudes
-
-    def checked(t: int, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.complex128)
-        norm = np.linalg.norm(vec)
+    per_step = np.empty((num_queries, lay.num_positions), dtype=np.float64)
+    amps = np.zeros(lay.dim, dtype=np.complex128)
+    amps[0] = 1.0
+    for t in range(num_queries + 1):
+        amps = np.asarray(step(t, amps), dtype=np.complex128)
+        norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise NonUnitaryStepError(f"step {t} of {alg.name} produced norm {norm}")
-        return vec
-
-    amps = checked(0, step(0, amps))
-    per_step = np.empty((alg.num_queries, lay.num_positions), dtype=np.float64)
-    state = PureState(amps, lay)
-    for t in range(alg.num_queries):
-        per_step[t] = query_magnitudes(state)
-        state = apply_oracle(state, effective)
-        state = PureState(checked(t + 1, step(t + 1, state.amplitudes)), lay)
-    return state, QueryTrace(per_step, alg.num_queries)
+        if t < num_queries:
+            per_step[t] = _position_mass(amps, lay)
+            _check_forbidden(per_step[t], effective)
+            amps = amps[index]
+    return PureState(amps, lay), QueryTrace(per_step, num_queries)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +313,7 @@ def measurement_distribution(state: PureState, register: str = "position") -> np
     other = tuple(i for i in range(3) if i != axis)
     dist = probs.sum(axis=other)
     total = dist.sum()
-    if abs(total - 1.0) > NORM_TOL:
+    if not MASS_RANGE[0] <= total <= MASS_RANGE[1]:
         raise ValueError(f"distribution sums to {total}")
     return dist
 

@@ -120,6 +120,11 @@ class TestParityPad:
         '{"m": 2, "boundaries": [0, 4]}',          # no parities
         '[0, 4]',                                  # not an object
         '{"m": 2, "boundaries": [0, 4], "parities": 5}',  # parities not a string
+        '{"boundaries": [0, 4], "parities": "01"}',       # no m
+        '{"m": "2", "boundaries": [0, 4], "parities": "01"}',  # m not an integer
+        '{"m": 5, "boundaries": [0, 4], "parities": "01"}',    # m is not the group count
+        '{"m": 2, "boundaries": [0, 4.5], "parities": "01"}',  # a start is not an integer
+        '{"m": 2, "boundaries": [0, true], "parities": "01"}',  # a start is a boolean
     ])
     def test_json_missing_field_is_value_error(self, payload):
         with pytest.raises(ValueError):
@@ -255,6 +260,19 @@ class TestHellmanTable:
         with pytest.raises(ValueError):
             parse_hellman_bits(bits[:-1] + "2", 32)
 
+    def test_parse_rejects_repeated_right(self):
+        for cycles in ((((0, 2, 2), (4, 2, 2)),), (((0, 2, 2),), ((4, 2, 2),))):
+            with pytest.raises(ValueError, match="share a right"):
+                parse_hellman_bits(HellmanTable(3, 2, cycles).to_bits(), 8)
+
+    @pytest.mark.parametrize("n_elems", [2, 16, 128, 1024])
+    def test_built_tables_parse(self, n_elems):
+        f = np.random.default_rng(n_elems).permutation(n_elems)
+        for s in sorted({1, 2, n_elems // 2, n_elems}):
+            table = hellman_build(f, s)
+            assert parse_hellman_bits(table.to_bits(), n_elems) == table.anchors
+            assert HellmanTable.from_json(table.to_json()) == table
+
     def test_json_roundtrip_bit_exact(self):
         f = np.random.default_rng(10).permutation(64)
         table = hellman_build(f, 8)
@@ -278,6 +296,9 @@ class TestHellmanTable:
         "missing_anchors": {"n": 3, "s": 2, "cycles": [{}]},
         "short_anchor": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2]]}]},
         "non_integer_element": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2.0, 2]]}]},
+        "repeated_right": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2, 2], [4, 2, 2]]}]},
+        "repeated_right_across_cycles": {"n": 3, "s": 2,
+                                         "cycles": [{"anchors": [[0, 2, 2]]}, {"anchors": [[4, 2, 2]]}]},
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_TABLES))

@@ -5,6 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from advice_lab.adapters import (
+    HellmanInversion,
+    LookupInversion,
+    haar_scrambler,
+    masked_box_grover,
+    parity_box_algorithm,
+)
+from advice_lab.advice import parity_preprocess
 from advice_lab.qsim import (
     AlgorithmSpec,
     BasisLayout,
@@ -72,6 +80,11 @@ class TestLayoutAndState:
             BitStringOracle(np.array([0, 2, 1]))
         with pytest.raises(ValueError):
             BitStringOracle(np.array([0, 1, 1]), forbidden=3)
+
+    def test_permutation_oracle_is_function_oracle(self):
+        oracle = PermutationOracle(np.array([2, 0, 3, 1]))
+        assert isinstance(oracle, FunctionOracle)
+        assert (oracle.num_positions, oracle.answer_dim, oracle.forbidden) == (4, 4, None)
 
 
 class TestApplyOracle:
@@ -228,6 +241,74 @@ class TestRun:
         f = PermutationOracle(np.random.default_rng(1).permutation(8))
         _, trace = run(grover_spec(8, 2), f, 3)
         assert abs(trace.totals.sum() - 2.0) < 1e-9
+
+    def test_rejects_mass_on_forbidden_position(self):
+        # the box Grover excludes position 3, so position 5 gets mass 1/7
+        bits = np.zeros(8, dtype=int)
+        with pytest.raises(ForbiddenIndexError):
+            run(masked_box_grover(8), BitStringOracle(bits, forbidden=5), 3)
+        run(masked_box_grover(8), BitStringOracle(bits, forbidden=3), 3)
+
+    def test_layout_mismatch(self):
+        alg = self._noop_alg(BasisLayout(4, 2), 1)
+        with pytest.raises(ValueError, match="incompatible"):
+            run(alg, PermutationOracle(np.arange(4)))
+
+    def _scaled_alg(self, scale):
+        def steps(_inp):
+            def step(t, amps):
+                return amps * scale if t == 0 else amps
+            return step
+        return AlgorithmSpec("scaled", BasisLayout(4, 2), 2, steps)
+
+    def test_norm_within_tolerance_runs_and_measures(self):
+        final, trace = run(self._scaled_alg(1 + 0.9e-9), BitStringOracle(np.array([1, 0, 1, 1])))
+        assert measurement_distribution(final, "position")[0] > 1.0
+        assert trace.totals.sum() > 2.0
+
+    def test_norm_beyond_tolerance_rejected(self):
+        with pytest.raises(NonUnitaryStepError):
+            run(self._scaled_alg(1 + 1.1e-9), BitStringOracle(np.array([1, 0, 1, 1])))
+
+
+def reference_run(alg, oracle, run_input=None):
+    """The run loop assembled from the public per-query pieces: step,
+    PureState, query_magnitudes, then apply_oracle."""
+    effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
+    step = alg.steps(run_input)
+    state = PureState(step(0, basis_state(alg.layout, 0).amplitudes), alg.layout)
+    rows = np.empty((alg.num_queries, alg.layout.num_positions))
+    for t in range(alg.num_queries):
+        rows[t] = query_magnitudes(state)
+        state = apply_oracle(state, effective)
+        state = PureState(step(t + 1, state.amplitudes), alg.layout)
+    return state, rows
+
+
+def _differential_cases():
+    rng = np.random.default_rng(2024)
+    f = PermutationOracle(rng.permutation(16))
+    cases = [pytest.param(grover_spec(16, 3), f, 5, id="grover")]
+    for family in (HellmanInversion(2), LookupInversion()):
+        spec = family.spec(family.preprocess(f), 16)
+        cases += [pytest.param(spec, f, y, id=f"{family.name}-y{y}") for y in (0, 7, 13)]
+    bits = rng.integers(0, 2, size=16)
+    for j in (0, 6, 15):
+        box = BitStringOracle(bits, forbidden=j)
+        cases.append(pytest.param(parity_box_algorithm(parity_preprocess(bits, 4), j), box, j,
+                                  id=f"parity-j{j}"))
+        cases.append(pytest.param(masked_box_grover(16), box, j, id=f"box-grover-j{j}"))
+    scrambler = haar_scrambler(BasisLayout(8, 8, 2), 4, seed=9)
+    cases.append(pytest.param(scrambler, FunctionOracle(rng.integers(0, 8, size=8)), 0, id="scrambler"))
+    return cases
+
+
+@pytest.mark.parametrize("alg, oracle, run_input", _differential_cases())
+def test_run_matches_per_query_reference(alg, oracle, run_input):
+    final, trace = run(alg, oracle, run_input)
+    ref_final, ref_rows = reference_run(alg, oracle, run_input)
+    assert np.array_equal(final.amplitudes, ref_final.amplitudes)
+    assert np.array_equal(trace.per_step, ref_rows)
 
 
 class TestMeasurement:
