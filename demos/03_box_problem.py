@@ -23,7 +23,7 @@ def main():
     sample = ", ".join(format(int(x), "08b")[::-1] for x in part.members[:4])
     print(f"  first members: {sample} ...")
 
-    result = box_experiment(n, m, scheme, parity_box_algorithm, trials=12, seed=2024)
+    result = box_experiment(n, scheme, parity_box_algorithm, trials=12, seed=2024)
     print(f"\n  {'j':>2} {'window':>10} {'pair (x, y)':>22} {'bound':>8} "
           f"{'actual':>8} {'mean q_z':>9} {'T/(N-1)':>8}")
     for rec in result.records:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -100,7 +100,6 @@ def parity_box_algorithm(pad: advice_mod.ParityPad, j: int) -> AlgorithmSpec:
         num_queries=num_queries,
         steps=pointmass_steps(layout, transition_factory),
         output_register="workspace",
-        advice=bitstring(pad.parities),
     )
 
 
@@ -108,15 +107,15 @@ def parity_box_algorithm(pad: advice_mod.ParityPad, j: int) -> AlgorithmSpec:
 # Grover restricted to the allowed box positions
 # ---------------------------------------------------------------------------
 
-def masked_box_grover(n_positions: int, iterations: Optional[int] = None) -> AlgorithmSpec:
-    """Amplitude amplification over every position except the run input index.
+def masked_box_grover(n_positions: int) -> AlgorithmSpec:
+    """Amplitude amplification over every position except the run input index,
+    with the round count that suits the N - 1 allowed positions.
 
     The run input is the excluded index; preparation and the reflection both
     live in the subspace of allowed positions, so the excluded one never
     acquires amplitude and forbidden-index oracles accept every query.
     """
-    if iterations is None:
-        iterations = default_grover_iterations(n_positions - 1)
+    iterations = default_grover_iterations(n_positions - 1)
     layout = BasisLayout(n_positions, 2, 1)
     minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
 
@@ -149,20 +148,16 @@ def masked_box_grover(n_positions: int, iterations: Optional[int] = None) -> Alg
 
 @dataclass(frozen=True)
 class GroverInversion:
-    """Advice-free amplification of the preimage; one query per round."""
+    """Advice-free amplification of the preimage; one query per round, with
+    the default round count for the domain size."""
 
-    iterations: Optional[int] = None
-
-    @property
-    def name(self) -> str:
-        return f"grover[{self.iterations if self.iterations is not None else 'auto'}]"
+    name = "grover[auto]"
 
     def preprocess(self, f: PermutationOracle) -> str:
         return ""
 
     def spec(self, advice: str, n_elements: int) -> AlgorithmSpec:
-        iters = self.iterations if self.iterations is not None else default_grover_iterations(n_elements)
-        return grover_spec(n_elements, iters)
+        return grover_spec(n_elements, default_grover_iterations(n_elements))
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,6 @@ class LookupInversion:
             num_queries=num_queries,
             steps=pointmass_steps(layout, transition_factory),
             output_register="position",
-            advice=advice,
         )
 
 
@@ -239,7 +233,6 @@ class HellmanInversion:
             num_queries=2 * self.s + 2,
             steps=pointmass_steps(layout, lambda y: advice_mod.hellman_walk(anchors, int(y))),
             output_register="position",
-            advice=advice,
         )
 
 

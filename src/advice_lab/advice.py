@@ -262,7 +262,8 @@ def iterate(f, x: int, s: int) -> int:
 
 
 def hellman_build(f, s: int) -> HellmanTable:
-    """Decompose f into cycles and store anchor pairs every s iterates."""
+    """Decompose f into cycles and store anchor pairs every s iterates.
+    Raises ValueError unless f is a permutation of [0, N)."""
     table = _as_table(f)
     n_elems = len(table)
     if not 1 <= s <= n_elems:
@@ -270,6 +271,8 @@ def hellman_build(f, s: int) -> HellmanTable:
     n = ceil_log2(n_elems)
     if 1 << n != n_elems:
         raise ValueError("domain size must be a power of two")
+    if not np.array_equal(np.sort(table), np.arange(n_elems)):
+        raise ValueError("table is not a permutation of [0, N)")
     seen = np.zeros(n_elems, dtype=bool)
     cycles = []
     for start in range(n_elems):

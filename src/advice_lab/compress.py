@@ -25,6 +25,8 @@ from .qsim import FunctionOracle, PermutationOracle, PureState, measurement_dist
 from .util import ceil_log2, parse_bitstring
 
 ARGMAX_TOL = 1e-9
+# An element counts as inverted when its run outputs it with at least this probability.
+SUCCESS_THRESHOLD = 2.0 / 3.0
 
 
 class DecodeFailure(RuntimeError):
@@ -119,15 +121,12 @@ class CompressionParams:
     delta: float
     c: float
     min_good: int = 1
-    success_threshold: float = 2.0 / 3.0
 
     def __post_init__(self):
         if not 0 < self.delta < 1 or not 0 < self.c < 1:
             raise ValueError("delta and c must lie in (0, 1)")
         if self.min_good < 1:
             raise ValueError("min_good must be at least 1")
-        if not 0 < self.success_threshold <= 1:
-            raise ValueError("bad success threshold")
 
     @property
     def certainty_margin_ok(self) -> bool:
@@ -163,14 +162,19 @@ def prepare(f: PermutationOracle, family):
     return advice, family.spec(advice, f.num_positions)
 
 
-def inversion_set(f: PermutationOracle, family, threshold: float = 2.0 / 3.0) -> np.ndarray:
-    """Elements x whose image the algorithm sends back to x with probability at
-    least the threshold, read exactly off the final statevector."""
-    advice, alg = prepare(f, family)
+def _inverts(alg, final: PureState, x: int) -> bool:
+    """The run ending in ``final`` outputs x with probability at least
+    SUCCESS_THRESHOLD, read exactly off the statevector."""
+    return measurement_distribution(final, alg.output_register)[x] >= SUCCESS_THRESHOLD - 1e-12
+
+
+def inversion_set(f: PermutationOracle, family) -> np.ndarray:
+    """Elements x whose image the algorithm sends back to x (``_inverts``)."""
+    _, alg = prepare(f, family)
     hits = []
     for x in range(f.num_positions):
         final, _ = run(alg, f, int(f.table[x]))
-        if measurement_distribution(final, alg.output_register)[x] >= threshold - 1e-12:
+        if _inverts(alg, final, x):
             hits.append(x)
     return np.array(hits, dtype=np.int64)
 
@@ -184,7 +188,7 @@ def _good_elements(f: PermutationOracle, alg, R: np.ndarray,
     for x in R:
         y = int(f.table[x])
         final, trace = run(alg, f, y)
-        if measurement_distribution(final, alg.output_register)[x] < params.success_threshold - 1e-12:
+        if not _inverts(alg, final, x):
             continue
         stray_mass = float(trace.totals[R].sum() - trace.totals[x])
         if stray_mass <= threshold:
@@ -253,14 +257,14 @@ class Encoding:
         return sum(self.component_bits().values())
 
 
-def length_bound_bits(enc: Encoding, kappa: float = 4.0) -> float:
-    """S + log2 N! - log2 |G|! + kappa * log2 N, the budget the logical length
-    must stay under (kappa absorbs ceilings and the header)."""
+def length_bound_bits(enc: Encoding) -> float:
+    """S + log2 N! - log2 |G|! + 4 log2 N, the budget the logical length must
+    stay under (the 4 log2 N absorbs ceilings and the header)."""
     n, g = enc.num_elements, enc.good_count
     return (enc.advice_bits
             + math.log2(math.factorial(n))
             - math.log2(math.factorial(g))
-            + kappa * math.log2(n))
+            + 4 * math.log2(n))
 
 
 def build_h(known: dict[int, int], R, y: int) -> FunctionOracle:
@@ -441,12 +445,15 @@ def encoding_from_json(payload: str, num_elements: int) -> Encoding:
         fR, outer, fG, inner = (doc["ranks"][k] for k in ("fR", "outer", "fG", "inner"))
     except (KeyError, TypeError) as exc:
         raise CorruptEncodingError(f"envelope field missing: {exc}") from exc
-    if not all(type(v) is int for v in (s_bits, good_count, r_size)):
-        raise CorruptEncodingError("S, good_count and r_size must be integers")
+    if not all(type(v) is int for v in (s_bits, good_count, r_size, logical_bits)):
+        raise CorruptEncodingError("S, good_count, r_size and logical_bits must be integers")
     raw = np.frombuffer(_b64decode(advice, "advice"), dtype=np.uint8)
     if s_bits < 0 or len(raw) != (s_bits + 7) // 8:
         raise CorruptEncodingError("advice byte count disagrees with S")
-    bits = np.unpackbits(raw)[:s_bits]
+    bits = np.unpackbits(raw)
+    if bits[s_bits:].any():
+        raise CorruptEncodingError("advice padding bits past S are not zero")
+    bits = bits[:s_bits]
     enc = Encoding(
         num_elements=num_elements,
         advice="".join("1" if b else "0" for b in bits),

@@ -1,11 +1,13 @@
 """Seeded experiment harness: runs the lab's experiments as row-oriented
 tables with reproducible per-trial randomness.
 
-One top-level seed drives everything; trial t uses the stream derived from
-spawn key (domain, t), so any single trial can be rerun on its own.  Every row
-carries the master seed and a hash of the configuration, so any row can be
-replayed.  A table's ``ok`` flag is the conjunction of its per-row invariant
-checks; the CLI maps it to the exit status.
+Each trial draws from its own stream ``stream_rng(seed, *key)``, so any single
+trial can be rerun on its own: key (t) in grover, box and the verify suites,
+(s, t) in hellman, and in compress (0) for the permutation and (1, t) for each
+trial's sample.  Every row carries the master seed and a hash of the
+configuration, so any row can be replayed.  A table's ``ok`` flag is the
+conjunction of its per-row invariant checks; the CLI maps it to the exit
+status.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,18 +47,21 @@ from .qsim import (
     default_grover_iterations,
     run,
 )
-from .util import ceil_log2, stream_rng, trial_rng
+from .util import ceil_log2, stream_rng
 
 GROVER_MAX_N = 256
 
 
 @dataclass
 class ResultTable:
-    command: str
     config: dict
     columns: list
-    rows: list = field(default_factory=list)
-    ok: bool = True
+    rows: list
+    ok: bool
+
+    @property
+    def command(self) -> str:
+        return self.config["command"]
 
     @property
     def config_hash(self) -> str:
@@ -78,12 +83,21 @@ def fan_out(worker, count: int) -> list:
     return [worker(i) for i in range(count)]
 
 
-def _finish(table: ResultTable) -> ResultTable:
-    digest = table.config_hash
-    for row in table.rows:
-        row["seed"] = table.config["seed"]
+def _trials(seed: int, count: int, trial) -> list:
+    """trial(t, rng) for t = 0..count-1, each with the stream (seed, t)."""
+    return fan_out(lambda t: trial(t, stream_rng(seed, t)), count)
+
+
+def _table(config: dict, columns: list, rows: list, ok: bool) -> ResultTable:
+    """The one place a table is made: it rejects a negative trial count and
+    stamps every row with the seed and config hash, which close the columns."""
+    if config["trials"] < 0:
+        raise ValueError(f"trial count must be nonnegative, got {config['trials']}")
+    digest = config_hash(config)
+    for row in rows:
+        row["seed"] = config["seed"]
         row["config"] = digest
-    return table
+    return ResultTable(config, columns + ["seed", "config"], rows, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +112,7 @@ def cmd_grover(n: int, trials: int, seed: int) -> ResultTable:
     theta = math.asin(1.0 / math.sqrt(n))
     closed_form = math.sin((2 * iterations + 1) * theta) ** 2
 
-    def worker(t: int) -> dict:
-        rng = trial_rng(seed, t)
+    def trial(t: int, rng: np.random.Generator) -> dict:
         f = PermutationOracle(rng.permutation(n))
         y = int(rng.integers(n))
         candidate, prob, trace = grover_invert(f, y)
@@ -118,13 +131,11 @@ def cmd_grover(n: int, trials: int, seed: int) -> ResultTable:
             "mass_ok": bool(trace.totals.sum() <= trace.num_queries + 1e-9),
         }
 
-    table = ResultTable("grover", config, [
+    rows = _trials(seed, trials, trial)
+    return _table(config, [
         "trial", "n", "iterations", "queries", "success_probability", "closed_form",
-        "abs_error", "candidate", "preimage", "candidate_correct", "mass_ok",
-        "seed", "config"])
-    table.rows = fan_out(worker, trials)
-    table.ok = all(r["abs_error"] <= 1e-6 and r["mass_ok"] for r in table.rows)
-    return _finish(table)
+        "abs_error", "candidate", "preimage", "candidate_correct", "mass_ok"],
+        rows, all(r["abs_error"] <= 1e-6 and r["mass_ok"] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +144,9 @@ def cmd_grover(n: int, trials: int, seed: int) -> ResultTable:
 
 def cmd_box(n: int, m: int, trials: int, seed: int) -> ResultTable:
     config = {"command": "box", "n": n, "m": m, "trials": trials, "seed": seed}
-    result = box_experiment(n, m, ParityAdviceScheme(m), parity_box_algorithm, trials, seed)
-    table = ResultTable("box", config, [
-        "trial", "j", "alpha", "class_size", "window", "delta_size", "num_queries",
-        "swap_bound", "swap_actual", "swap_holds", "averaged_bound",
-        "mean_qz", "expected_qz", "qz_stderr", "qz_within_3se", "seed", "config"])
-    for rec in result.records:
-        table.rows.append({
+    result = box_experiment(n, ParityAdviceScheme(m), parity_box_algorithm, trials, seed)
+    rows = [
+        {
             "trial": rec.trial,
             "j": rec.j,
             "alpha": rec.alpha,
@@ -155,9 +162,14 @@ def cmd_box(n: int, m: int, trials: int, seed: int) -> ResultTable:
             "expected_qz": rec.expectation.expected,
             "qz_stderr": rec.expectation.stderr,
             "qz_within_3se": rec.expectation.within_3se,
-        })
-    table.ok = result.all_swaps_hold and result.all_expectations_within
-    return _finish(table)
+        }
+        for rec in result.records
+    ]
+    return _table(config, [
+        "trial", "j", "alpha", "class_size", "window", "delta_size", "num_queries",
+        "swap_bound", "swap_actual", "swap_holds", "averaged_bound",
+        "mean_qz", "expected_qz", "qz_stderr", "qz_within_3se"],
+        rows, result.all_swaps_hold and result.all_expectations_within)
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +178,12 @@ def cmd_box(n: int, m: int, trials: int, seed: int) -> ResultTable:
 
 def cmd_hellman(n: int, s_values, trials: int, seed: int) -> ResultTable:
     config = {"command": "hellman", "n": n, "s": list(s_values), "trials": trials, "seed": seed}
-    log_n = ceil_log2(n)
-    target = n * 2 * log_n
-
+    target = n * 2 * ceil_log2(n)
     jobs = [(s, t) for s in s_values for t in range(trials)]
 
     def worker(i: int) -> dict:
         s, t = jobs[i]
-        rng = stream_rng(seed, s, t)
-        f = rng.permutation(n)
-        point = advice_mod.measure_tradeoff(f, s)
+        point = advice_mod.measure_tradeoff(stream_rng(seed, s, t).permutation(n), s)
         ratio = point["bits_times_calls"] / target
         return {
             "s": s,
@@ -192,13 +200,12 @@ def cmd_hellman(n: int, s_values, trials: int, seed: int) -> ResultTable:
             "calls_bounded": point["worst_calls"] <= 2 * s + 2,
         }
 
-    table = ResultTable("hellman", config, [
+    rows = fan_out(worker, len(jobs))
+    return _table(config, [
         "s", "trial", "n", "entries", "advice_bits", "header_bits", "worst_calls",
         "bits_times_calls", "target_bits", "ratio_to_target", "within_factor_8",
-        "calls_bounded", "seed", "config"])
-    table.rows = fan_out(worker, len(jobs))
-    table.ok = all(r["within_factor_8"] and r["calls_bounded"] for r in table.rows)
-    return _finish(table)
+        "calls_bounded"],
+        rows, all(r["within_factor_8"] and r["calls_bounded"] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +281,15 @@ def cmd_compress(n: int, delta: float, c: float, trials: int, seed: int,
         record["trial"] = t
         return record
 
-    table = ResultTable("compress", config, [
+    rows = fan_out(worker, trials)
+    successes = sum(1 for r in rows if r["roundtrip_exact"])
+    audits = all(r["length_identity_ok"] and r["length_bound_ok"] and r["envelope_ok"]
+                 and r["h_ok"] for r in rows)
+    return _table(config, [
         "trial", "r_size", "good_count", "encode_failed", "decode_ok", "roundtrip_exact",
         "logical_bits", "bound_bits", "length_identity_ok", "length_bound_ok",
-        "envelope_ok", "max_h_distance", "h_ok", "seed", "config"])
-    table.rows = fan_out(worker, trials)
-    successes = sum(1 for r in table.rows if r["roundtrip_exact"])
-    audits = all(r["length_identity_ok"] and r["length_bound_ok"] and r["envelope_ok"]
-                 and r["h_ok"] for r in table.rows)
-    table.ok = successes >= math.ceil(0.8 * trials) and audits
-    return _finish(table)
+        "envelope_ok", "max_h_distance", "h_ok"],
+        rows, successes >= math.ceil(0.8 * trials) and audits)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +338,11 @@ def _swap_instance(rng: np.random.Generator, n: int, kind: str):
     raise ValueError(f"unknown swap instance kind {kind!r}")
 
 
-def swapping_trials(trials: int, seed: int, sizes=(8, 16)) -> list:
+def swapping_trials(trials: int, seed: int) -> list:
     kinds = ("grover", "parity", "hellman")
 
-    def worker(t: int) -> dict:
-        rng = trial_rng(seed, t)
-        n = int(rng.choice(sizes))
+    def trial(t: int, rng: np.random.Generator) -> dict:
+        n = int(rng.choice((8, 16)))
         kind = kinds[int(rng.integers(len(kinds)))]
         alg, ox, oy, run_input = _swap_instance(rng, n, kind)
         rep = verify_swapping(alg, ox, oy, run_input)
@@ -347,7 +352,7 @@ def swapping_trials(trials: int, seed: int, sizes=(8, 16)) -> list:
             "bound": rep.bound, "actual": rep.actual, "holds": rep.holds,
         }
 
-    return fan_out(worker, trials)
+    return _trials(seed, trials, trial)
 
 
 def _random_state(rng: np.random.Generator, layout: BasisLayout) -> PureState:
@@ -359,8 +364,7 @@ def tv_trials(trials: int, seed: int) -> list:
     layout = BasisLayout(8, 2, 2)
     registers = ("position", "answer", "workspace")
 
-    def worker(t: int) -> dict:
-        rng = trial_rng(seed, t)
+    def trial(t: int, rng: np.random.Generator) -> dict:
         kind = ("gaussian", "near", "grover")[int(rng.integers(3))]
         if kind == "grover":
             n = 8
@@ -386,13 +390,12 @@ def tv_trials(trials: int, seed: int) -> list:
             "holds": rep.holds,
         }
 
-    return fan_out(worker, trials)
+    return _trials(seed, trials, trial)
 
 
-def collision_trials(trials: int, seed: int, max_n: int = 10) -> list:
-    def worker(t: int) -> dict:
-        rng = trial_rng(seed, t)
-        n = int(rng.integers(4, max_n + 1))
+def collision_trials(trials: int, seed: int) -> list:
+    def trial(t: int, rng: np.random.Generator) -> dict:
+        n = int(rng.integers(4, 11))
         m = int(rng.integers(1, min(n - 1, 6) + 1))
         size = 2 ** (n - m) + int(rng.integers(0, 2 ** (n - m)))
         members = rng.choice(1 << n, size=min(size, 1 << n), replace=False)
@@ -413,12 +416,13 @@ def collision_trials(trials: int, seed: int, max_n: int = 10) -> list:
             "holds": valid and brute_found,
         }
 
-    return fan_out(worker, trials)
+    return _trials(seed, trials, trial)
 
 
-def expectation_trials(trials: int, seed: int, n: int = 16, z_samples: int = 10_000) -> list:
-    def worker(t: int) -> dict:
-        rng = trial_rng(seed, t)
+def expectation_trials(trials: int, seed: int) -> list:
+    n = 16
+
+    def trial(t: int, rng: np.random.Generator) -> dict:
         bits = rng.integers(0, 2, size=n)
         j = int(rng.integers(n))
         kind = ("box-grover", "parity2", "parity4")[int(rng.integers(3))]
@@ -428,14 +432,14 @@ def expectation_trials(trials: int, seed: int, n: int = 16, z_samples: int = 10_
             alg = _parity_algorithm(bits, 2 if kind == "parity2" else 4, j)
         oracle = BitStringOracle(bits, forbidden=j)
         _, trace = run(alg, oracle, j)
-        rep = expectation_check(trace.totals, j, alg.num_queries, rng, z_samples)
+        rep = expectation_check(trace.totals, j, alg.num_queries, rng)
         return {
             "trial": t, "algorithm": alg.name, "num_queries": alg.num_queries,
             "mean_qz": rep.mean, "expected_qz": rep.expected, "stderr": rep.stderr,
             "within_3se": rep.within_3se, "holds": rep.within_3se,
         }
 
-    return fan_out(worker, trials)
+    return _trials(seed, trials, trial)
 
 
 def eq2_trials(trials: int, seed: int) -> list:
@@ -443,8 +447,7 @@ def eq2_trials(trials: int, seed: int) -> list:
     meet it exactly."""
     kinds = ("grover", "lookup", "hellman", "parity", "box-grover", "scrambler")
 
-    def worker(t: int) -> dict:
-        rng = trial_rng(seed, t)
+    def trial(t: int, rng: np.random.Generator) -> dict:
         kind = kinds[t % len(kinds)]
         classical = kind in ("lookup", "hellman", "parity")
         if kind == "grover":
@@ -478,7 +481,7 @@ def eq2_trials(trials: int, seed: int) -> list:
             "holds": bounded and ((not classical) or exact),
         }
 
-    return fan_out(worker, trials)
+    return _trials(seed, trials, trial)
 
 
 _SUITES = {
@@ -496,23 +499,19 @@ def cmd_verify(suite: str, trials: int, seed: int) -> ResultTable:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)} or 'all'")
     config = {"command": "verify", "suite": suite, "trials": trials, "seed": seed}
-    table = ResultTable("verify", config, [
-        "suite", "trial", "algorithm", "detail", "holds", "seed", "config"])
-    ok = True
+    rows = []
     for name in names:
-        rows = _SUITES[name](trials, seed)
-        for row in rows:
+        for row in _SUITES[name](trials, seed):
             detail = {k: v for k, v in row.items() if k not in ("trial", "algorithm", "holds")}
-            table.rows.append({
+            rows.append({
                 "suite": name,
                 "trial": row["trial"],
                 "algorithm": row.get("algorithm", row.get("kind", "")),
                 "detail": json.dumps(detail, sort_keys=True, default=str),
                 "holds": row["holds"],
             })
-            ok = ok and bool(row["holds"])
-    table.ok = ok
-    return _finish(table)
+    return _table(config, ["suite", "trial", "algorithm", "detail", "holds"],
+                  rows, all(r["holds"] for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .qsim import (
     run,
     tv_distance,
 )
-from .util import bitstring, int_to_bits, trial_rng
+from .util import bitstring, int_to_bits, stream_rng
 
 SWAP_TOL = 1e-9
 ENUMERATION_CAP = 12  # advice classes are enumerated over all 2^n strings
@@ -221,31 +221,29 @@ class BoxExperimentResult:
         return all(r.expectation.within_3se for r in self.records)
 
 
-def box_experiment(n: int, m: int, scheme: ParityAdviceScheme,
+def box_experiment(n: int, scheme: ParityAdviceScheme,
                    algorithm_factory: Callable[[ParityPad, int], AlgorithmSpec],
-                   trials: int, seed: int, z_samples: int = 10_000) -> BoxExperimentResult:
-    """Per trial: draw an advice class and a random coordinate window, find two
-    class members differing only inside the window, and check the perturbation
-    bound on the algorithm the factory builds from the shared advice.  Classes
-    below the 2^(N-m) size bound are skipped and redrawn."""
+                   trials: int, seed: int) -> BoxExperimentResult:
+    """Per trial: take the advice class of a random string and a random window
+    of m + 1 coordinates (m = scheme.m), find two class members differing only
+    inside the window, and check the perturbation bound on the algorithm the
+    factory builds from the shared advice.  A parity class is a coset of a
+    kernel of dimension N - m, so it always holds 2^(N-m) strings; a class
+    below that bound raises RuntimeError."""
+    m = scheme.m
     if n > ENUMERATION_CAP:
         raise ValueError(f"box experiment enumerates classes; capped at N <= {ENUMERATION_CAP}")
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < N")
     records = []
     for t in range(trials):
-        rng = trial_rng(seed, t)
+        rng = stream_rng(seed, t)
         j = int(rng.integers(n))
-        part = None
-        for _attempt in range(64):
-            x0 = int(rng.integers(1 << n))
-            alpha = scheme.advice_string(int_to_bits(x0, n))
-            candidate = scheme.partition(n, alpha)
-            if candidate.meets_size_bound():
-                part = candidate
-                break
-        if part is None:
-            raise RuntimeError("no advice class met the size bound")
+        x0 = int(rng.integers(1 << n))
+        part = scheme.partition(n, scheme.advice_string(int_to_bits(x0, n)))
+        if not part.meets_size_bound():
+            raise RuntimeError(f"advice class {part.alpha!r} holds {part.size} strings, "
+                               f"below the 2^(N-m) size bound")
         window = tuple(sorted(int(i) for i in rng.choice(n, size=m + 1, replace=False)))
         x, y = collision_in_window(part.members, window, n)
         bits_x = int_to_bits(x, n)
@@ -255,7 +253,7 @@ def box_experiment(n: int, m: int, scheme: ParityAdviceScheme,
         oracle_y = BitStringOracle(int_to_bits(y, n), forbidden=j)
         swap = verify_swapping(alg, oracle_x, oracle_y, j)
         eq_bound = alg.num_queries * math.sqrt((m + 1) / (n - 1))
-        expectation = expectation_check(swap.totals, j, alg.num_queries, rng, z_samples)
+        expectation = expectation_check(swap.totals, j, alg.num_queries, rng)
         records.append(BoxTrialRecord(
             trial=t, j=j, alpha=part.alpha, class_size=part.size, window=window,
             x=x, y=y, swap=swap, eq_bound=eq_bound, expectation=expectation,

@@ -272,7 +272,6 @@ class AlgorithmSpec:
     num_queries: int
     steps: Callable[[object], StepFn]
     output_register: str = "position"
-    advice: str = ""
     derive_oracle: Optional[Callable[[Oracle, object], Oracle]] = None
 
     def __post_init__(self):

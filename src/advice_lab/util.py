@@ -43,16 +43,7 @@ def ceil_log2(m: int) -> int:
     return (m - 1).bit_length()
 
 
-def trial_seed_seq(master_seed: int, trial: int) -> np.random.SeedSequence:
-    """Counter-based seed split: each trial draws from its own independent
-    stream, so any single trial can be replayed without running the others."""
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,))
-
-
-def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(trial_seed_seq(master_seed, trial))
-
-
 def stream_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Like trial_rng but with a multi-part counter key."""
+    """Counter-based seed split: each key names its own independent stream,
+    so any single trial can be replayed without running the others."""
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))

@@ -17,7 +17,7 @@ from advice_lab.advice import measure_tradeoff, parity_answer, parity_answer_swe
 from advice_lab.compress import rank_perm, rank_set, unrank_perm, unrank_set
 from advice_lab.hybrid import expectation_check
 from advice_lab.qsim import BitStringOracle, PermutationOracle, grover_invert, run
-from advice_lab.util import stream_rng, trial_rng
+from advice_lab.util import stream_rng
 
 SEED = 24601
 
@@ -29,7 +29,7 @@ def _report(num: int, name: str, ok: bool, detail: str):
 
 def test_criterion_01_grover_exact_success():
     start = time.perf_counter()
-    f64 = PermutationOracle(trial_rng(SEED, 1).permutation(64))
+    f64 = PermutationOracle(stream_rng(SEED, 1).permutation(64))
     _, p64, trace64 = grover_invert(f64, 17)
     closed = math.sin(13 * math.asin(1 / 8)) ** 2
     f4 = PermutationOracle(np.array([2, 0, 3, 1]))

@@ -236,6 +236,14 @@ class TestHellmanTable:
         with pytest.raises(CorruptTableError):
             hellman_invert(2, bogus, two_cycles)
 
+    @pytest.mark.parametrize("f", [[1, 1, 2, 3], [0, 1, 2, 4], [3, 2, 1, -1]])
+    def test_non_permutation_rejected(self, f):
+        # a repeated image would send the cycle walk round forever
+        with pytest.raises(ValueError, match="not a permutation"):
+            hellman_build(np.array(f), 2)
+        with pytest.raises(ValueError, match="not a permutation"):
+            measure_tradeoff(np.array(f), 2)
+
     def test_bit_accounting(self):
         f = np.random.default_rng(9).permutation(64)
         table = hellman_build(f, 8)

@@ -1,5 +1,6 @@
 """Codecs, sampling, good sets, encode/decode, counting arithmetic."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -220,6 +221,15 @@ class TestInversionAndGoodSets:
         b = good_set(f, family, R, params)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("family", [LookupInversion(), HellmanInversion(2), GroverInversion()],
+                             ids=lambda family: family.name)
+    @pytest.mark.parametrize("R", [[2, 5, 11], [0, 3, 6, 9, 12, 15]])
+    def test_good_set_lies_in_inverted_sample(self, family, R):
+        # good_set and inversion_set share one success predicate
+        f = PermutationOracle(np.random.default_rng(12).permutation(16))
+        good = good_set(f, family, R, CompressionParams(delta=0.2, c=0.9))
+        assert set(good) <= set(inversion_set(f, family)) & set(R)
+
     def test_grover_strays_everywhere_with_tiny_c(self):
         # amplification spreads query mass, so no sampled element stays under
         # c/T when c is small and the sample has company
@@ -417,12 +427,12 @@ class TestCounting:
 
 
 class TestEnvelope:
-    def _encoding(self):
+    def _encoding(self, advice_bits=64):
         f = PermutationOracle(np.random.default_rng(19).permutation(16))
         family = LookupInversion(verify=True)
         enc = encode(f, family, [3, 5, 8], CompressionParams(delta=0.2, c=0.001))
         assert enc is not None
-        return enc
+        return dataclasses.replace(enc, advice=enc.advice[:advice_bits])
 
     def test_roundtrip_bit_exact(self):
         enc = self._encoding()
@@ -478,9 +488,13 @@ class TestEnvelope:
         (("advice",), "AA!A"),
         (("S",), 72),                  # more advice bits than bytes stored
         (("S",), -1),
+        (("logical_bits",), 116.0),     # the stored length, but not an integer
+        (("advice",), "7auC+QbHMUU="),  # stored advice with the padding bit past S set
     ])
     def test_mutated_field_rejected(self, path, value):
-        doc = json.loads(encoding_to_json(self._encoding()))
+        # 63 advice bits leave one padding bit at the end of the last byte
+        doc = json.loads(encoding_to_json(self._encoding(63)))
+        assert doc["S"] == 63 and doc["logical_bits"] == 116 and doc["advice"] == "7auC+QbHMUQ="
         owner = doc
         for key in path[:-1]:
             owner = owner[key]

@@ -71,6 +71,8 @@ class TestReproducibility:
     def test_rows_carry_replay_metadata(self):
         table = harness.cmd_box(8, 2, trials=3, seed=21)
         digest = harness.config_hash(table.config)
+        assert table.command == "box"
+        assert table.columns[-2:] == ["seed", "config"]
         for row in table.rows:
             assert row["seed"] == 21
             assert row["config"] == digest
@@ -180,6 +182,15 @@ class TestCli:
     def test_bad_config_exit_two(self, capsys):
         code = main(["grover", "--n", "512", "--trials", "1", "--seed", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["grover", "--n", "16"], ["box"],
+                                      ["hellman", "--n", "64", "--s", "4"], ["compress"],
+                                      ["verify", "all"]], ids=lambda argv: argv[0])
+    def test_negative_trials_exit_two(self, argv, capsys):
+        assert main(argv + ["--trials", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trial count" in captured.err
 
     def test_compress_flags(self, tmp_path):
         out = tmp_path / "c.csv"

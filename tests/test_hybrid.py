@@ -185,7 +185,7 @@ class TestExpectationCheck:
 
 class TestBoxExperiment:
     def test_parity_adapter_all_hold(self):
-        result = box_experiment(8, 2, ParityAdviceScheme(2), parity_box_algorithm,
+        result = box_experiment(8, ParityAdviceScheme(2), parity_box_algorithm,
                                 trials=30, seed=42)
         assert result.all_swaps_hold
         assert result.all_expectations_within
@@ -195,6 +195,16 @@ class TestBoxExperiment:
             # pair members really sit in the advice class and differ inside it
             outside = ((1 << 8) - 1) ^ sum(1 << i for i in rec.window)
             assert (rec.x ^ rec.y) & outside == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_window_and_bound_follow_the_scheme(self, m):
+        result = box_experiment(8, ParityAdviceScheme(m), parity_box_algorithm,
+                                trials=4, seed=m)
+        assert result.m == m
+        for rec in result.records:
+            assert len(rec.window) == m + 1
+            assert rec.class_size == 2 ** (8 - m)
+            assert rec.eq_bound == rec.swap.num_queries * math.sqrt((m + 1) / 7)
 
     def test_zero_query_algorithm_gives_zero_distances(self):
         lay = BasisLayout(8, 2, 1)
@@ -206,7 +216,7 @@ class TestBoxExperiment:
                 return step
             return AlgorithmSpec("idle", lay, 0, steps)
 
-        result = box_experiment(8, 2, ParityAdviceScheme(2), factory,
+        result = box_experiment(8, ParityAdviceScheme(2), factory,
                                 trials=10, seed=7)
         for rec in result.records:
             assert rec.swap.actual == 0.0
@@ -216,6 +226,6 @@ class TestBoxExperiment:
 
     def test_size_cap_and_bad_m(self):
         with pytest.raises(ValueError):
-            box_experiment(16, 2, ParityAdviceScheme(2), parity_box_algorithm, 1, 0)
+            box_experiment(16, ParityAdviceScheme(2), parity_box_algorithm, 1, 0)
         with pytest.raises(ValueError):
-            box_experiment(8, 8, ParityAdviceScheme(8), parity_box_algorithm, 1, 0)
+            box_experiment(8, ParityAdviceScheme(8), parity_box_algorithm, 1, 0)
