@@ -10,6 +10,7 @@ from .qsim import (
     AlgorithmSpec,
     BasisLayout,
     BitStringOracle,
+    ClassicalSpec,
     ForbiddenIndexError,
     FunctionOracle,
     NonUnitaryStepError,

@@ -1,10 +1,10 @@
 """Built-in query algorithms: classical adapters and quantum instances.
 
-Classical deterministic algorithms are embedded as statevector programs whose
-state is always a single basis vector.  Each step relabels that basis vector
-(position = next query, workspace = scratch), so per-step query magnitudes are
-exactly 0 or 1 and the trace of a run is the literal transcript of the
-classical execution.
+Classical deterministic algorithms are ``ClassicalSpec`` transitions that
+``qsim.run`` executes as transcripts: each step moves one basis coordinate
+triple (position = next query, workspace = scratch), so per-step query
+magnitudes are exactly 0 or 1 and the trace of a run is the literal transcript
+of the classical execution.
 
 Inversion algorithms come as families: ``preprocess`` turns an oracle into an
 advice bit string, ``spec`` rebuilds the runnable algorithm from those bits,
@@ -13,7 +13,6 @@ which is exactly what a decoder holding only the advice can do.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -23,8 +22,10 @@ from . import advice as advice_mod
 from .qsim import (
     AlgorithmSpec,
     BasisLayout,
+    ClassicalSpec,
     NonUnitaryStepError,
     PermutationOracle,
+    amplification_spec,
     default_grover_iterations,
     grover_spec,
 )
@@ -42,7 +43,8 @@ class InversionFamily(Protocol):
 
 
 # ---------------------------------------------------------------------------
-# Point-mass embedding of classical programs
+# Point-mass embedding of classical programs: the dense reference that tests
+# compare ``ClassicalSpec`` transcripts against.  No run path uses it.
 # ---------------------------------------------------------------------------
 
 def pointmass_steps(layout: BasisLayout, transition_factory):
@@ -81,7 +83,6 @@ def parity_box_algorithm(pad: advice_mod.ParityPad, j: int) -> AlgorithmSpec:
     n = pad.num_positions
     members, pad_bit = pad.reads(j)
     num_queries = len(members)
-    layout = BasisLayout(n, 2, 2)
 
     def transition_factory(_run_input):
         def transition(t, pos, ans, work):
@@ -94,11 +95,11 @@ def parity_box_algorithm(pad: advice_mod.ParityPad, j: int) -> AlgorithmSpec:
             return pos, 0, work ^ ans ^ pad_bit
         return transition
 
-    return AlgorithmSpec(
+    return ClassicalSpec(
         name=f"parity-pad[m={pad.m},j={j}]",
-        layout=layout,
+        layout=BasisLayout(n, 2, 2),
         num_queries=num_queries,
-        steps=pointmass_steps(layout, transition_factory),
+        steps=transition_factory,
         output_register="workspace",
     )
 
@@ -109,37 +110,12 @@ def parity_box_algorithm(pad: advice_mod.ParityPad, j: int) -> AlgorithmSpec:
 
 def masked_box_grover(n_positions: int) -> AlgorithmSpec:
     """Amplitude amplification over every position except the run input index,
-    with the round count that suits the N - 1 allowed positions.
-
-    The run input is the excluded index; preparation and the reflection both
-    live in the subspace of allowed positions, so the excluded one never
-    acquires amplitude and forbidden-index oracles accept every query.
-    """
+    with the round count that suits the N - 1 allowed positions.  The excluded
+    index never acquires amplitude, so forbidden-index oracles accept every
+    query."""
     iterations = default_grover_iterations(n_positions - 1)
-    layout = BasisLayout(n_positions, 2, 1)
-    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-
-    def steps(run_input):
-        j = int(run_input)
-        allowed = np.full(n_positions, 1.0 / math.sqrt(n_positions - 1))
-        allowed[j] = 0.0
-
-        def step(t: int, amps: np.ndarray) -> np.ndarray:
-            if t == 0:
-                return np.outer(allowed, minus).reshape(-1).astype(np.complex128)
-            grid = amps.reshape(n_positions, 2)
-            coef = allowed @ grid
-            return (2.0 * np.outer(allowed, coef) - grid).reshape(-1)
-
-        return step
-
-    return AlgorithmSpec(
-        name=f"box-grover[{iterations}]",
-        layout=layout,
-        num_queries=iterations,
-        steps=steps,
-        output_register="position",
-    )
+    return amplification_spec(f"box-grover[{iterations}]", n_positions, iterations,
+                              lambda j: np.arange(n_positions) != int(j), None)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +160,6 @@ class LookupInversion:
         if len(advice) != n_elements * n:
             raise ValueError("advice length does not match the domain")
         inverse = [bits_to_int(parse_bitstring(advice[y * n:(y + 1) * n])) for y in range(n_elements)]
-        layout = BasisLayout(n_elements, n_elements, 1)
         num_queries = 1 if self.verify else 0
 
         def transition_factory(run_input):
@@ -196,11 +171,11 @@ class LookupInversion:
                 return pos, ans, work
             return transition
 
-        return AlgorithmSpec(
+        return ClassicalSpec(
             name=self.name,
-            layout=layout,
+            layout=BasisLayout(n_elements, n_elements, 1),
             num_queries=num_queries,
-            steps=pointmass_steps(layout, transition_factory),
+            steps=transition_factory,
             output_register="position",
         )
 
@@ -226,12 +201,11 @@ class HellmanInversion:
 
     def spec(self, advice: str, n_elements: int) -> AlgorithmSpec:
         anchors = self.parse_advice(advice, n_elements)
-        layout = BasisLayout(n_elements, n_elements, 2)
-        return AlgorithmSpec(
+        return ClassicalSpec(
             name=self.name,
-            layout=layout,
+            layout=BasisLayout(n_elements, n_elements, 2),
             num_queries=2 * self.s + 2,
-            steps=pointmass_steps(layout, lambda y: advice_mod.hellman_walk(anchors, int(y))),
+            steps=lambda y: advice_mod.hellman_walk(anchors, int(y)),
             output_register="position",
         )
 

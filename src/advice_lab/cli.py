@@ -66,7 +66,7 @@ def main(argv=None) -> int:
         elif args.command == "box":
             table = harness.cmd_box(args.n, args.m, args.trials, args.seed)
         elif args.command == "hellman":
-            s_values = [int(v) for v in args.s.split(",") if v]
+            s_values = [int(v) for v in args.s.split(",")]
             table = harness.cmd_hellman(args.n, s_values, args.trials, args.seed)
         elif args.command == "compress":
             table = harness.cmd_compress(args.n, args.delta, args.c, args.trials,

@@ -105,6 +105,8 @@ def _table(config: dict, columns: list, rows: list, ok: bool) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 def cmd_grover(n: int, trials: int, seed: int) -> ResultTable:
+    if n < 2:
+        raise ValueError(f"N must be at least 2, got {n}")
     if n > GROVER_MAX_N:
         raise ValueError(f"N capped at {GROVER_MAX_N} for the exact sweep")
     config = {"command": "grover", "n": n, "trials": trials, "seed": seed}
@@ -177,6 +179,8 @@ def cmd_box(n: int, m: int, trials: int, seed: int) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 def cmd_hellman(n: int, s_values, trials: int, seed: int) -> ResultTable:
+    if not s_values or len(set(s_values)) != len(s_values):
+        raise ValueError(f"strides must be a non-empty list without repeats, got {list(s_values)}")
     config = {"command": "hellman", "n": n, "s": list(s_values), "trials": trials, "seed": seed}
     target = n * 2 * ceil_log2(n)
     jobs = [(s, t) for s in s_values for t in range(trials)]

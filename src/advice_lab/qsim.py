@@ -1,11 +1,13 @@
-"""Exact statevector simulation of oracle query algorithms.
+"""Exact simulation of oracle query algorithms.
 
 The state space is a triple register (position, answer, workspace).  A query
 XORs the oracle's answer for the position coordinate into the answer register,
-which is unitary for any oracle table.  Between queries the algorithm applies
-arbitrary norm-preserving transformations of the full state.  Every query step
-is instrumented: the squared amplitude mass sitting on each position right
-before the query is recorded, per step and accumulated over the run.
+which is unitary for any oracle table.  Between queries a quantum algorithm
+applies arbitrary norm-preserving transformations of the full statevector; a
+classical program (``ClassicalSpec``) runs as its transcript, one coordinate
+triple moved by its transition.  Every query step is instrumented: the squared
+amplitude mass sitting on each position right before the query is recorded,
+per step and accumulated over the run.
 """
 
 from __future__ import annotations
@@ -188,11 +190,14 @@ def oracle_delta(a: Oracle, b: Oracle) -> np.ndarray:
     return np.flatnonzero(ta != tb)
 
 
+def _check_layout(lay: BasisLayout, oracle: Oracle) -> None:
+    if lay.num_positions != oracle.num_positions or lay.answer_dim != oracle.answer_dim:
+        raise ValueError("state layout incompatible with oracle")
+
+
 def _gather_index(lay: BasisLayout, oracle: Oracle) -> np.ndarray:
     """The query as a flat gather: ``amps[index]`` maps basis state (i, a, w)
     to (i, a XOR table[i], w)."""
-    if lay.num_positions != oracle.num_positions or lay.answer_dim != oracle.answer_dim:
-        raise ValueError("state layout incompatible with oracle")
     grid = np.arange(lay.dim).reshape(lay.num_positions, lay.answer_dim, lay.workspace_dim)
     xor_cols = np.arange(lay.answer_dim)[None, :] ^ np.asarray(oracle.table)[:, None]
     return grid[np.arange(lay.num_positions)[:, None], xor_cols, :].reshape(lay.dim)
@@ -206,6 +211,7 @@ def _check_forbidden(magnitudes: np.ndarray, oracle: Oracle) -> None:
 
 def apply_oracle(state: PureState, oracle: Oracle) -> PureState:
     """One query: basis state (i, a, w) maps to (i, a XOR table[i], w)."""
+    _check_layout(state.layout, oracle)
     index = _gather_index(state.layout, oracle)
     _check_forbidden(query_magnitudes(state), oracle)
     return PureState(state.amplitudes[index], state.layout)
@@ -261,7 +267,8 @@ class AlgorithmSpec:
 
     ``steps(run_input)`` returns the step function used for one run; it is
     called with (t, amplitudes) for t = 0..T and must preserve the norm of the
-    states it actually receives.  ``derive_oracle`` optionally maps the base
+    states it receives (a ``ClassicalSpec`` has no norm to keep: its steps move
+    one basis coordinate triple).  ``derive_oracle`` optionally maps the base
     oracle plus the run input to the oracle actually queried (e.g. a predicate
     bit string derived from a permutation); queries to the derived oracle are
     charged one-for-one.
@@ -280,13 +287,27 @@ class AlgorithmSpec:
         self.layout.axis(self.output_register)
 
 
+class ClassicalSpec(AlgorithmSpec):
+    """A deterministic program, run as its transcript from (0, 0, 0):
+    ``steps(run_input)`` returns the transition ``(t, pos, ans, work) ->
+    (pos, ans, work)``, and each query XORs ``table[pos]`` into ``ans``."""
+
+
 def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[PureState, QueryTrace]:
     """Execute: step 0, then T rounds of (record magnitudes, query, step)."""
     effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
     lay, num_queries = alg.layout, alg.num_queries
-    index = _gather_index(lay, effective)
+    _check_layout(lay, effective)
     step = alg.steps(run_input)
-    per_step = np.empty((num_queries, lay.num_positions), dtype=np.float64)
+    per_step = np.zeros((num_queries, lay.num_positions), dtype=np.float64)
+    if isinstance(alg, ClassicalSpec):
+        pos, ans, work = step(0, 0, 0, 0)
+        for t in range(num_queries):
+            per_step[t, pos] = 1.0
+            _check_forbidden(per_step[t], effective)
+            pos, ans, work = step(t + 1, pos, ans ^ int(effective.table[pos]), work)
+        return basis_state(lay, pos, ans, work), QueryTrace(per_step, num_queries)
+    index = _gather_index(lay, effective)
     amps = np.zeros(lay.dim, dtype=np.complex128)
     amps[0] = 1.0
     for t in range(num_queries + 1):
@@ -340,38 +361,46 @@ def default_grover_iterations(n_elements: int) -> int:
     return int(math.floor((math.pi / 4) * math.sqrt(n_elements)))
 
 
-def grover_spec(n_elements: int, iterations: int) -> AlgorithmSpec:
-    """Search for the unique position satisfying a derived predicate.
+def amplification_spec(name: str, n_positions: int, iterations: int,
+                       allowed_of: Callable[[object], np.ndarray],
+                       derive_oracle: Optional[Callable[[Oracle, object], Oracle]]) -> AlgorithmSpec:
+    """Amplitude amplification over the positions ``allowed_of(run_input)``
+    marks True, one query per round.
 
     The answer register is held in the |0>-|1> difference state so a predicate
-    query kicks back a phase flip; each round then reflects the position
-    register about the uniform state.
+    query kicks back a phase flip.  Step 0 prepares the uniform state over the
+    allowed rows; each later step reflects them about that state, so positions
+    outside the mask never acquire amplitude.
     """
-    lay = BasisLayout(n_elements, 2, 1)
     minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    uniform = np.full(n_elements, 1.0 / math.sqrt(n_elements))
 
-    def steps(_run_input) -> StepFn:
+    def steps(run_input) -> StepFn:
+        allowed = allowed_of(run_input)
+        weights = np.where(allowed, 1.0 / math.sqrt(allowed.sum()), 0.0)
+        rows = slice(None) if allowed.all() else allowed  # a view, not a copy, when unmasked
+
         def step(t: int, amps: np.ndarray) -> np.ndarray:
-            grid = amps.reshape(n_elements, 2)
             if t == 0:
-                return np.outer(uniform, minus).reshape(-1).astype(np.complex128)
-            mean = grid.mean(axis=0, keepdims=True)
-            return (2.0 * mean - grid).reshape(-1)
+                return np.outer(weights, minus).reshape(-1).astype(np.complex128)
+            grid = amps.reshape(n_positions, 2)
+            out = -grid
+            out[rows] += 2.0 * grid[rows].mean(axis=0)
+            return out.reshape(-1)
         return step
+
+    return AlgorithmSpec(name, BasisLayout(n_positions, 2, 1), iterations, steps, "position",
+                         derive_oracle)
+
+
+def grover_spec(n_elements: int, iterations: int) -> AlgorithmSpec:
+    """Search every position for the unique one whose image is the run input."""
 
     def derive(oracle: Oracle, run_input) -> BitStringOracle:
         marks = (np.asarray(oracle.table) == int(run_input)).astype(np.int64)
         return BitStringOracle(marks)
 
-    return AlgorithmSpec(
-        name=f"grover[{iterations}]",
-        layout=lay,
-        num_queries=iterations,
-        steps=steps,
-        output_register="position",
-        derive_oracle=derive,
-    )
+    return amplification_spec(f"grover[{iterations}]", n_elements, iterations,
+                              lambda _run_input: np.ones(n_elements, dtype=bool), derive)
 
 
 def grover_invert(f: PermutationOracle, y: int, iterations: Optional[int] = None):

@@ -33,6 +33,11 @@ class TestCommands:
         assert table.ok
         assert all(row["swap_holds"] for row in table.rows)
 
+    @pytest.mark.parametrize("s_values", [[], [4, 4]], ids=["empty", "repeat"])
+    def test_hellman_rejects_bad_strides(self, s_values):
+        with pytest.raises(ValueError, match="strides"):
+            harness.cmd_hellman(64, s_values, trials=1, seed=0)
+
     def test_hellman_table(self):
         table = harness.cmd_hellman(64, [4, 8], trials=2, seed=1)
         assert table.ok
@@ -89,7 +94,7 @@ class TestReproducibility:
         "compress": (lambda: harness.cmd_compress(16, 0.2, 0.001, 10, 0),
                      "5a025a1fa2e7884ff386f89e14226ebfce12c802d69ae3600f2bc9c2aec838e5"),
         "verify": (lambda: harness.cmd_verify("all", 10, 0),
-                   "be8af78420113339174d65bd01124a21ba92dcf810c209fa434d1269424b1ff8"),
+                   "859fb60ff5ba9bbe105213e15a8b733594b49699d08163eecd808a30dc7cc660"),
     }
 
     @pytest.mark.parametrize("command", sorted(GOLDEN))
@@ -182,6 +187,20 @@ class TestCli:
     def test_bad_config_exit_two(self, capsys):
         code = main(["grover", "--n", "512", "--trials", "1", "--seed", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_grover_too_small_exit_two(self, n, capsys):
+        assert main(["grover", "--n", n, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("strides", [",", "4,,8", "4,4"], ids=["empty", "hole", "repeat"])
+    def test_bad_stride_list_exit_two(self, strides, capsys):
+        assert main(["hellman", "--n", "64", "--s", strides, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     @pytest.mark.parametrize("argv", [["grover", "--n", "16"], ["box"],
                                       ["hellman", "--n", "64", "--s", "4"], ["compress"],

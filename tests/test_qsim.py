@@ -11,12 +11,14 @@ from advice_lab.adapters import (
     haar_scrambler,
     masked_box_grover,
     parity_box_algorithm,
+    pointmass_steps,
 )
 from advice_lab.advice import parity_preprocess
 from advice_lab.qsim import (
     AlgorithmSpec,
     BasisLayout,
     BitStringOracle,
+    ClassicalSpec,
     ForbiddenIndexError,
     FunctionOracle,
     NonUnitaryStepError,
@@ -273,9 +275,11 @@ class TestRun:
 
 def reference_run(alg, oracle, run_input=None):
     """The run loop assembled from the public per-query pieces: step,
-    PureState, query_magnitudes, then apply_oracle."""
+    PureState, query_magnitudes, then apply_oracle.  A classical spec's
+    transitions run as point-mass statevector steps."""
     effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
-    step = alg.steps(run_input)
+    steps = pointmass_steps(alg.layout, alg.steps) if isinstance(alg, ClassicalSpec) else alg.steps
+    step = steps(run_input)
     state = PureState(step(0, basis_state(alg.layout, 0).amplitudes), alg.layout)
     rows = np.empty((alg.num_queries, alg.layout.num_positions))
     for t in range(alg.num_queries):
@@ -309,6 +313,77 @@ def test_run_matches_per_query_reference(alg, oracle, run_input):
     ref_final, ref_rows = reference_run(alg, oracle, run_input)
     assert np.array_equal(final.amplitudes, ref_final.amplitudes)
     assert np.array_equal(trace.per_step, ref_rows)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_transcripts_match_dense_reference_for_every_input(n):
+    """Every classical family, every run input: the transcript run and the
+    point-mass statevector run agree bit for bit."""
+    rng = np.random.default_rng(n)
+    f = PermutationOracle(rng.permutation(n))
+    sweeps = []
+    for family in (HellmanInversion(1), HellmanInversion(2), HellmanInversion(4), LookupInversion()):
+        spec = family.spec(family.preprocess(f), n)
+        sweeps += [(spec, f, y) for y in range(n)]
+    bits = rng.integers(0, 2, size=n)
+    for m in (1, 2, 4):
+        pad = parity_preprocess(bits, m)
+        sweeps += [(parity_box_algorithm(pad, j), BitStringOracle(bits, forbidden=j), j)
+                   for j in range(n)]
+    for alg, oracle, run_input in sweeps:
+        assert isinstance(alg, ClassicalSpec)
+        final, trace = run(alg, oracle, run_input)
+        ref_final, ref_rows = reference_run(alg, oracle, run_input)
+        assert np.array_equal(final.amplitudes, ref_final.amplitudes), (alg.name, run_input)
+        assert np.array_equal(trace.per_step, ref_rows), (alg.name, run_input)
+
+
+class TestClassicalRun:
+    def _reader(self, position, queries=2):
+        def steps(_run_input):
+            def transition(t, pos, ans, work):
+                return position, 0, work ^ ans
+            return transition
+        return ClassicalSpec("reader", BasisLayout(4, 2, 2), queries, steps, "workspace")
+
+    def test_query_on_forbidden_index_rejected(self):
+        bits = np.array([1, 0, 1, 1])
+        with pytest.raises(ForbiddenIndexError):
+            run(self._reader(2), BitStringOracle(bits, forbidden=2))
+        final, trace = run(self._reader(1), BitStringOracle(bits, forbidden=2))
+        assert np.array_equal(trace.totals, [0, 2, 0, 0])
+        assert measurement_distribution(final, "position")[1] == 1.0
+
+    def test_layout_mismatch(self):
+        with pytest.raises(ValueError, match="incompatible"):
+            run(self._reader(1), PermutationOracle(np.arange(4)))
+
+
+class TestAmplificationKernel:
+    @staticmethod
+    def _reflection_run(n, j, oracle):
+        """The box Grover with the reflection written as
+        2 * outer(allowed, allowed @ grid) - grid."""
+        allowed = np.full(n, 1.0 / math.sqrt(n - 1))
+        allowed[j] = 0.0
+        minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        grid = np.outer(allowed, minus).astype(np.complex128)
+        signs = np.where(oracle.bits == 1, -1.0, 1.0)[:, None]
+        for _ in range(default_grover_iterations(n - 1)):
+            grid = grid * signs  # the query's phase kickback on |0> - |1>
+            grid = 2.0 * np.outer(allowed, allowed @ grid) - grid
+        return grid.reshape(-1)
+
+    @pytest.mark.parametrize("j", [0, 6, 15])
+    def test_masked_box_grover_matches_outer_reflection(self, j):
+        bits = np.zeros(16, dtype=np.int64)
+        bits[(j + 5) % 16] = 1
+        oracle = BitStringOracle(bits, forbidden=j)
+        final, trace = run(masked_box_grover(16), oracle, j)
+        expected = self._reflection_run(16, j, oracle)
+        assert np.max(np.abs(final.amplitudes - expected)) <= 1e-12
+        assert np.all(trace.per_step[:, j] == 0.0)
+        assert measurement_distribution(final, "position")[j] == 0.0
 
 
 class TestMeasurement:
