@@ -9,6 +9,7 @@ bit-exact permutation compression codec driven by inversion algorithms.
 from .qsim import (
     AlgorithmSpec,
     BasisLayout,
+    BasisState,
     BitStringOracle,
     ClassicalSpec,
     ForbiddenIndexError,

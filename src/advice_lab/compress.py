@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qsim import FunctionOracle, PermutationOracle, PureState, measurement_distribution, run
+from .qsim import FunctionOracle, PermutationOracle, State, measurement_distribution, run
 from .util import ceil_log2, parse_bitstring
 
 ARGMAX_TOL = 1e-9
@@ -162,9 +162,9 @@ def prepare(f: PermutationOracle, family):
     return advice, family.spec(advice, f.num_positions)
 
 
-def _inverts(alg, final: PureState, x: int) -> bool:
+def _inverts(alg, final: State, x: int) -> bool:
     """The run ending in ``final`` outputs x with probability at least
-    SUCCESS_THRESHOLD, read exactly off the statevector."""
+    SUCCESS_THRESHOLD, read exactly off the final state."""
     return measurement_distribution(final, alg.output_register)[x] >= SUCCESS_THRESHOLD - 1e-12
 
 
@@ -180,7 +180,7 @@ def inversion_set(f: PermutationOracle, family) -> np.ndarray:
 
 
 def _good_elements(f: PermutationOracle, alg, R: np.ndarray,
-                   params: CompressionParams) -> dict[int, PureState]:
+                   params: CompressionParams) -> dict[int, State]:
     """Each good element of R, in R's order, mapped to the final state of its
     run against f."""
     threshold = params.c / alg.num_queries if alg.num_queries > 0 else math.inf
@@ -212,10 +212,11 @@ def good_set(f: PermutationOracle, family, R, params: CompressionParams) -> np.n
 class Encoding:
     """Six-component compressed permutation; ranks are exact big integers.
 
-    ``runs`` maps each good element to the final state of its run against f.
-    The encoder fills it so the caller can audit those runs without redoing
-    them; it is not part of the encoding: the envelope does not store it,
-    equality ignores it, and decode never reads it.
+    ``runs`` maps each good element to the final state of its run against f:
+    a ``BasisState`` of coordinates for a classical family, a dense
+    ``PureState`` otherwise.  The encoder fills it so the caller can audit
+    those runs without redoing them; it is not part of the encoding: the
+    envelope does not store it, equality ignores it, and decode never reads it.
     """
 
     num_elements: int
@@ -226,7 +227,7 @@ class Encoding:
     outer_rank: int
     fG_rank: int
     inner_rank: int
-    runs: dict[int, PureState] = field(default_factory=dict, compare=False, repr=False)
+    runs: dict[int, State] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.good_count <= self.r_size <= self.num_elements:

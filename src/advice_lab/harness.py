@@ -42,6 +42,7 @@ from .qsim import (
     BitStringOracle,
     PermutationOracle,
     PureState,
+    euclidean_distance,
     grover_invert,
     grover_spec,
     default_grover_iterations,
@@ -257,7 +258,7 @@ def compress_trial(f: PermutationOracle, family, R, params) -> dict:
         y = int(f.table[x])
         h = compress_mod.build_h(known, R, y)
         final_h, _ = run(alg, h, y)
-        max_dist = max(max_dist, float(np.linalg.norm(final_f.amplitudes - final_h.amplitudes)))
+        max_dist = max(max_dist, euclidean_distance(final_f, final_h))
     record["max_h_distance"] = max_dist
     record["h_ok"] = max_dist <= math.sqrt(params.c) + 1e-9
 

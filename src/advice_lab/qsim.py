@@ -5,14 +5,16 @@ XORs the oracle's answer for the position coordinate into the answer register,
 which is unitary for any oracle table.  Between queries a quantum algorithm
 applies arbitrary norm-preserving transformations of the full statevector; a
 classical program (``ClassicalSpec``) runs as its transcript, one coordinate
-triple moved by its transition.  Every query step is instrumented: the squared
-amplitude mass sitting on each position right before the query is recorded,
-per step and accumulated over the run.
+triple moved by its transition, and ends in a ``BasisState`` that stores only
+those coordinates.  Every query step is instrumented: the squared amplitude
+mass sitting on each position right before the query is recorded, per step and
+accumulated over the run.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -56,10 +58,25 @@ class BasisLayout:
             raise ValueError("bad register dimensions")
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.num_positions, self.answer_dim, self.workspace_dim
+
+    @property
     def dim(self) -> int:
         return self.num_positions * self.answer_dim * self.workspace_dim
 
+    def check(self, position: int, answer: int, workspace: int = 0) -> tuple[int, int, int]:
+        """The coordinates as ints: TypeError for a non-integer, ValueError
+        when one leaves its register's range."""
+        position, answer, workspace = (operator.index(position), operator.index(answer),
+                                       operator.index(workspace))
+        if not (0 <= position < self.num_positions and 0 <= answer < self.answer_dim
+                and 0 <= workspace < self.workspace_dim):
+            raise ValueError(f"coordinates {(position, answer, workspace)} outside {self.shape}")
+        return position, answer, workspace
+
     def index(self, position: int, answer: int, workspace: int = 0) -> int:
+        position, answer, workspace = self.check(position, answer, workspace)
         return (position * self.answer_dim + answer) * self.workspace_dim + workspace
 
     def coords(self, index: int) -> tuple[int, int, int]:
@@ -91,14 +108,30 @@ class PureState:
 
     def grid(self) -> np.ndarray:
         """View as (position, answer, workspace)."""
-        lay = self.layout
-        return self.amplitudes.reshape(lay.num_positions, lay.answer_dim, lay.workspace_dim)
+        return self.amplitudes.reshape(self.layout.shape)
 
 
-def basis_state(layout: BasisLayout, position: int, answer: int = 0, workspace: int = 0) -> PureState:
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[layout.index(position, answer, workspace)] = 1.0
-    return PureState(amps, layout)
+@dataclass(frozen=True)
+class BasisState:
+    """The basis vector with phase 1 at ``coords`` = (position, answer,
+    workspace), stored as its coordinates.  ``amplitudes`` builds the dense
+    vector only when read."""
+
+    layout: BasisLayout
+    coords: tuple[int, int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", self.layout.check(*self.coords))
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        amps = np.zeros(self.layout.dim, dtype=np.complex128)
+        amps[self.layout.index(*self.coords)] = 1.0
+        return amps
+
+
+def basis_state(layout: BasisLayout, position: int, answer: int = 0, workspace: int = 0) -> BasisState:
+    return BasisState(layout, (position, answer, workspace))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +213,7 @@ class BitStringOracle:
 
 
 Oracle = FunctionOracle | BitStringOracle
+State = PureState | BasisState
 
 
 def oracle_delta(a: Oracle, b: Oracle) -> np.ndarray:
@@ -198,7 +232,7 @@ def _check_layout(lay: BasisLayout, oracle: Oracle) -> None:
 def _gather_index(lay: BasisLayout, oracle: Oracle) -> np.ndarray:
     """The query as a flat gather: ``amps[index]`` maps basis state (i, a, w)
     to (i, a XOR table[i], w)."""
-    grid = np.arange(lay.dim).reshape(lay.num_positions, lay.answer_dim, lay.workspace_dim)
+    grid = np.arange(lay.dim).reshape(lay.shape)
     xor_cols = np.arange(lay.answer_dim)[None, :] ^ np.asarray(oracle.table)[:, None]
     return grid[np.arange(lay.num_positions)[:, None], xor_cols, :].reshape(lay.dim)
 
@@ -209,7 +243,7 @@ def _check_forbidden(magnitudes: np.ndarray, oracle: Oracle) -> None:
                                   f"on forbidden position {oracle.forbidden}")
 
 
-def apply_oracle(state: PureState, oracle: Oracle) -> PureState:
+def apply_oracle(state: State, oracle: Oracle) -> PureState:
     """One query: basis state (i, a, w) maps to (i, a XOR table[i], w)."""
     _check_layout(state.layout, oracle)
     index = _gather_index(state.layout, oracle)
@@ -221,13 +255,13 @@ def apply_oracle(state: PureState, oracle: Oracle) -> PureState:
 # Instrumentation
 # ---------------------------------------------------------------------------
 
-def query_magnitudes(state: PureState) -> np.ndarray:
+def query_magnitudes(state: State) -> np.ndarray:
     """Squared amplitude mass per position coordinate; sums to 1."""
     return _position_mass(state.amplitudes, state.layout)
 
 
 def _position_mass(amps: np.ndarray, lay: BasisLayout) -> np.ndarray:
-    grid = amps.reshape(lay.num_positions, lay.answer_dim, lay.workspace_dim)
+    grid = amps.reshape(lay.shape)
     return np.sum(np.abs(grid) ** 2, axis=(1, 2))
 
 
@@ -293,20 +327,24 @@ class ClassicalSpec(AlgorithmSpec):
     (pos, ans, work)``, and each query XORs ``table[pos]`` into ``ans``."""
 
 
-def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[PureState, QueryTrace]:
-    """Execute: step 0, then T rounds of (record magnitudes, query, step)."""
+def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, QueryTrace]:
+    """Execute: step 0, then T rounds of (record magnitudes, query, step).
+
+    A ``ClassicalSpec`` run ends in a ``BasisState``, its final coordinates
+    (each transition must keep them inside the layout, or ValueError); any
+    other run ends in a dense ``PureState``."""
     effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
     lay, num_queries = alg.layout, alg.num_queries
     _check_layout(lay, effective)
     step = alg.steps(run_input)
     per_step = np.zeros((num_queries, lay.num_positions), dtype=np.float64)
     if isinstance(alg, ClassicalSpec):
-        pos, ans, work = step(0, 0, 0, 0)
+        pos, ans, work = lay.check(*step(0, 0, 0, 0))
         for t in range(num_queries):
             per_step[t, pos] = 1.0
             _check_forbidden(per_step[t], effective)
-            pos, ans, work = step(t + 1, pos, ans ^ int(effective.table[pos]), work)
-        return basis_state(lay, pos, ans, work), QueryTrace(per_step, num_queries)
+            pos, ans, work = lay.check(*step(t + 1, pos, ans ^ int(effective.table[pos]), work))
+        return BasisState(lay, (pos, ans, work)), QueryTrace(per_step, num_queries)
     index = _gather_index(lay, effective)
     amps = np.zeros(lay.dim, dtype=np.complex128)
     amps[0] = 1.0
@@ -326,9 +364,13 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[PureState, 
 # Measurement and distances
 # ---------------------------------------------------------------------------
 
-def measurement_distribution(state: PureState, register: str = "position") -> np.ndarray:
-    """Marginal Born probabilities of one register."""
+def measurement_distribution(state: State, register: str = "position") -> np.ndarray:
+    """Marginal Born probabilities of one register (one-hot for a basis state)."""
     axis = state.layout.axis(register)
+    if isinstance(state, BasisState):
+        dist = np.zeros(state.layout.shape[axis])
+        dist[state.coords[axis]] = 1.0
+        return dist
     probs = np.abs(state.grid()) ** 2
     other = tuple(i for i in range(3) if i != axis)
     dist = probs.sum(axis=other)
@@ -338,9 +380,12 @@ def measurement_distribution(state: PureState, register: str = "position") -> np
     return dist
 
 
-def euclidean_distance(a: PureState, b: PureState) -> float:
+def euclidean_distance(a: State, b: State) -> float:
+    """Norm of a - b; two basis states with phase 1 are 0 or sqrt(2) apart."""
     if a.layout != b.layout:
         raise ValueError("states live in different layouts")
+    if isinstance(a, BasisState) and isinstance(b, BasisState):
+        return 0.0 if a.coords == b.coords else math.sqrt(2.0)
     return float(np.linalg.norm(a.amplitudes - b.amplitudes))
 
 

@@ -12,8 +12,10 @@ from advice_lab.adapters import (
     parity_box_algorithm,
 )
 from advice_lab.advice import hellman_build, hellman_invert, parity_preprocess
+from advice_lab.compress import _inverts, prepare
 from advice_lab.qsim import (
     BasisLayout,
+    BasisState,
     BitStringOracle,
     PermutationOracle,
     measurement_distribution,
@@ -178,6 +180,16 @@ class TestHellmanFamily:
             assert evaluated == queried[:calls]
             assert queried[calls:] == [x] * (alg.num_queries - calls)
             assert measurement_distribution(final, "position")[x] == 1.0
+
+    def test_runs_at_two_to_the_sixteen(self):
+        # a dense final state here would be 2^33 amplitudes
+        n = 2 ** 16
+        f = PermutationOracle(np.random.default_rng(16).permutation(n))
+        _, alg = prepare(f, HellmanInversion(s=4))
+        for x in np.random.default_rng(17).choice(n, size=64, replace=False):
+            final, _ = run(alg, f, int(f.table[x]))
+            assert isinstance(final, BasisState)
+            assert _inverts(alg, final, int(x))
 
     def test_distinct_runs_share_nothing(self):
         f = PermutationOracle(np.random.default_rng(9).permutation(16))

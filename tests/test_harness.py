@@ -128,6 +128,22 @@ class TestCompressTrial:
         # element against the hybrid oracle, once each.
         assert len(calls) == len(self.R) + 2 * record["good_count"]
 
+    def test_hellman_at_1024_audits_without_dense_states(self, monkeypatch):
+        def dense(*_args):
+            raise AssertionError("a classical trial built or normed a dense state")
+
+        monkeypatch.setattr(qsim.BasisState, "amplitudes", property(dense))
+        monkeypatch.setattr(np.linalg, "norm", dense)
+        rng = np.random.default_rng(1024)
+        f = PermutationOracle(rng.permutation(1024))
+        family = HellmanInversion(4)
+        R = compress.sample_R(1024, 0.9, 2 * family.s + 2, rng)
+        record = harness.compress_trial(f, family, R, self.PARAMS)
+        assert record["good_count"] > 0
+        flags = ("length_identity_ok", "length_bound_ok", "envelope_ok", "h_ok",
+                 "decode_ok", "roundtrip_exact")
+        assert all(record[flag] for flag in flags), record
+
     def test_decode_ignores_encoder_runs(self):
         enc = compress.encode(self.F, self.FAMILY, self.R, self.PARAMS)
         assert sorted(enc.runs) == [1, 6]

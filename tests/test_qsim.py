@@ -17,6 +17,7 @@ from advice_lab.advice import parity_preprocess
 from advice_lab.qsim import (
     AlgorithmSpec,
     BasisLayout,
+    BasisState,
     BitStringOracle,
     ClassicalSpec,
     ForbiddenIndexError,
@@ -67,6 +68,31 @@ class TestLayoutAndState:
                     assert lay.coords(idx) == (i, a, w)
                     seen.add(idx)
         assert seen == set(range(lay.dim))
+
+    @pytest.mark.parametrize("coords", [(0, 0, 2), (-1, 0, 0), (3, 1, 2), (4, 0, 0), (0, 2, 0)])
+    def test_coordinates_outside_the_layout_rejected(self, coords):
+        # (0, 0, 2) used to alias (0, 1, 0), -1 to wrap to position 3, and
+        # (3, 1, 2) to fail with a bare IndexError
+        lay = BasisLayout(4, 2, 2)
+        for build in (lay.index, lambda *c: basis_state(lay, *c), lambda *c: BasisState(lay, c)):
+            with pytest.raises(ValueError, match="outside"):
+                build(*coords)
+
+    def test_non_integer_coordinate_rejected(self):
+        lay = BasisLayout(4, 2, 2)
+        for build in (lay.index, lambda *c: basis_state(lay, *c), lambda *c: BasisState(lay, c)):
+            with pytest.raises(TypeError):
+                build(1.5, 0, 0)
+        assert type(basis_state(lay, np.int64(3)).coords[0]) is int
+
+    def test_basis_state_is_its_coordinates(self):
+        lay = BasisLayout(4, 2, 2)
+        state = basis_state(lay, 3, 1, 1)
+        assert isinstance(state, BasisState) and state.coords == (3, 1, 1)
+        assert state == BasisState(lay, (3, 1, 1))
+        expected = np.zeros(lay.dim, dtype=np.complex128)
+        expected[lay.index(3, 1, 1)] = 1.0
+        assert np.array_equal(state.amplitudes, expected)
 
     def test_state_norm_enforced(self):
         lay = BasisLayout(2, 2)
@@ -330,12 +356,30 @@ def test_transcripts_match_dense_reference_for_every_input(n):
         pad = parity_preprocess(bits, m)
         sweeps += [(parity_box_algorithm(pad, j), BitStringOracle(bits, forbidden=j), j)
                    for j in range(n)]
+    distances = set()
+    prev = prev_ref = None
     for alg, oracle, run_input in sweeps:
         assert isinstance(alg, ClassicalSpec)
         final, trace = run(alg, oracle, run_input)
         ref_final, ref_rows = reference_run(alg, oracle, run_input)
+        assert isinstance(final, BasisState)
         assert np.array_equal(final.amplitudes, ref_final.amplitudes), (alg.name, run_input)
         assert np.array_equal(trace.per_step, ref_rows), (alg.name, run_input)
+        for register in ("position", "answer", "workspace"):
+            assert np.array_equal(measurement_distribution(final, register),
+                                  measurement_distribution(ref_final, register))
+        if prev is not None and prev.layout == final.layout:
+            # the readers' shortcut and the dense norm agree exactly, for a
+            # pair of basis states and for a mixed pair
+            dense = np.linalg.norm(final.amplitudes - prev.amplitudes)
+            assert euclidean_distance(final, prev) == dense
+            assert euclidean_distance(final, prev_ref) == dense
+            assert euclidean_distance(ref_final, prev) == dense
+            distances.add(float(dense))
+        prev, prev_ref = final, ref_final
+    assert distances == {0.0, math.sqrt(2.0)}
+    with pytest.raises(ValueError, match="unknown register"):
+        measurement_distribution(prev, "spin")
 
 
 class TestClassicalRun:
@@ -357,6 +401,18 @@ class TestClassicalRun:
     def test_layout_mismatch(self):
         with pytest.raises(ValueError, match="incompatible"):
             run(self._reader(1), PermutationOracle(np.arange(4)))
+
+    @pytest.mark.parametrize("bad_step, bad", [(0, (0, 0, 2)), (1, (-1, 0, 0)), (2, (0, 0, 2))])
+    def test_transition_leaving_the_layout_rejected(self, bad_step, bad):
+        # a stray triple mid-run used to wrap (position -1 queried position 3)
+        # or alias, and the run still ended in an in-range state
+        def steps(_run_input):
+            def transition(t, pos, ans, work):
+                return bad if t == bad_step else (1, 0, 0)
+            return transition
+        alg = ClassicalSpec("stray", BasisLayout(4, 2, 2), 2, steps, "workspace")
+        with pytest.raises(ValueError, match="outside"):
+            run(alg, BitStringOracle(np.array([1, 0, 1, 1])))
 
 
 class TestAmplificationKernel:
