@@ -59,10 +59,11 @@ def main():
     print(f"    writing f next to the advice would cost {plain:.1f} bits")
     print(f"    envelope: {len(encoding_to_json(enc))} JSON bytes")
 
-    decoded = decode(enc, R, family, params)
+    decoded, finals = decode(enc, R, family, params)
     print(f"\n  decode reconstructs f exactly: {bool(np.array_equal(decoded, f.table))}")
     print("  (the good values were never written; the decoder re-derived them")
-    print("   by simulating the inverter against the patched oracle)")
+    print("   by simulating the inverter against the patched oracle, once for")
+    print(f"   each of the {len(finals)} stored images)")
 
     print("\n  counting arithmetic: a decoder correct for 80% of a set X needs")
     print("  at least 0.8|X| distinct encodings, so short encodings bound |X|.")

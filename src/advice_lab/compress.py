@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +31,15 @@ SUCCESS_THRESHOLD = 2.0 / 3.0
 
 
 class DecodeFailure(RuntimeError):
-    """Decoding could not certify the permutation it reconstructed."""
+    """Decoding could not certify the permutation it reconstructed.
+
+    ``finals`` maps each stored image y to the final state of its run against
+    the hybrid oracle ``build_h(table, R, y)``: decode makes every run before
+    it checks any image, so a failure carries all of them."""
+
+    def __init__(self, message: str, finals: dict[int, State]):
+        super().__init__(message)
+        self.finals = finals
 
 
 class AmbiguousDecodeError(DecodeFailure):
@@ -196,10 +205,21 @@ def _good_elements(f: PermutationOracle, alg, R: np.ndarray,
     return good
 
 
+def _sorted_sample(R, n: int) -> np.ndarray:
+    """R as a sorted int64 array: TypeError for a non-integer element,
+    ValueError for a repeat or an element outside [0, n)."""
+    values = sorted(operator.index(v) for v in R)
+    if values and not 0 <= values[0] <= values[-1] < n:
+        raise ValueError(f"sample {values} has an element outside [0, {n})")
+    if any(a == b for a, b in zip(values, values[1:])):
+        raise ValueError(f"sample {values} repeats an element")
+    return np.array(values, dtype=np.int64)
+
+
 def good_set(f: PermutationOracle, family, R, params: CompressionParams) -> np.ndarray:
     """Elements of R that are inverted and whose runs put at most c/T total
     query magnitude on the rest of R."""
-    R = np.asarray(sorted(int(v) for v in R), dtype=np.int64)
+    R = _sorted_sample(R, f.num_positions)
     _, alg = prepare(f, family)
     return np.array(list(_good_elements(f, alg, R, params)), dtype=np.int64)
 
@@ -268,18 +288,17 @@ def length_bound_bits(enc: Encoding) -> float:
             + 4 * math.log2(n))
 
 
-def build_h(known: dict[int, int], R, y: int) -> FunctionOracle:
-    """The hybrid oracle: the known partial mapping off R, constantly y on R.
-    It agrees with the original permutation everywhere outside R and at the
-    preimage of y."""
-    R = sorted(int(v) for v in R)
-    n = len(known) + len(R)
-    if set(known) != set(range(n)) - set(R):
-        raise ValueError("partial mapping must cover exactly the complement of R")
-    table = np.empty(n, dtype=np.int64)
-    for z, fz in known.items():
-        table[z] = fz
-    table[R] = int(y)
+def build_h(known: np.ndarray, R, y: int) -> FunctionOracle:
+    """The hybrid oracle: ``known`` (the permutation off R, -1 on R) with
+    every element of R sent to y.  It agrees with the original permutation
+    everywhere outside R and at the preimage of y.  ValueError unless known
+    is -1 exactly on R."""
+    table = np.array(known, dtype=np.int64)
+    on_R = np.zeros(len(table), dtype=bool)
+    on_R[_sorted_sample(R, len(table))] = True
+    if not np.array_equal(table == -1, on_R):
+        raise ValueError("known images must be -1 exactly on R")
+    table[on_R] = int(y)
     return FunctionOracle(table)
 
 
@@ -288,7 +307,7 @@ def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Option
     are good (a counted failure of the randomness, not an error).  The good
     elements' runs against f ride along in ``Encoding.runs``."""
     n = f.num_positions
-    R = np.asarray(sorted(int(v) for v in R), dtype=np.int64)
+    R = _sorted_sample(R, n)
     advice, alg = prepare(f, family)
     runs = _good_elements(f, alg, R, params)
     if len(runs) < params.min_good:
@@ -318,52 +337,54 @@ def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Option
     )
 
 
-def decode(enc: Encoding, R, family, params: CompressionParams) -> np.ndarray:
-    """Reconstruct the permutation: unrank the mapping off R, then invert each
-    stored image by simulating the algorithm against the hybrid oracle and
-    taking its output only when it is an unambiguous winner, then unrank the
-    leftover mapping."""
+def decode(enc: Encoding, R, family,
+           params: CompressionParams) -> tuple[np.ndarray, dict[int, State]]:
+    """Reconstruct the permutation and return it with the runs that did it.
+
+    Every rank is unranked first, so a CorruptEncodingError comes before any
+    run.  Then each stored image y is run once against the hybrid oracle
+    ``build_h(table, R, y)``, ``table`` being the mapping off R with -1 on R;
+    ``finals`` maps y to that run's final state.  Each image's preimage is the
+    run's output when it is an unambiguous winner and a fresh element of R;
+    the leftover mapping fills the rest.  A DecodeFailure carries ``finals``."""
     n = enc.num_elements
-    R = np.asarray(sorted(int(v) for v in R), dtype=np.int64)
+    R = _sorted_sample(R, n)
     if len(R) != enc.r_size:
         raise CorruptEncodingError("sampled set size disagrees with the encoding")
     r, g = enc.r_size, enc.good_count
 
     fR = unrank_set(enc.fR_rank, n, r)
+    outer = unrank_perm(enc.outer_rank, n - r)
+    fG = fR[unrank_set(enc.fG_rank, r, g)]
+    inner = unrank_perm(enc.inner_rank, r - g)
+
     outside = np.setdiff1d(np.arange(n), R, assume_unique=True)
     outside_images = np.setdiff1d(np.arange(n), fR, assume_unique=True)
-    outer = unrank_perm(enc.outer_rank, n - r)
-
     table = np.full(n, -1, dtype=np.int64)
     table[outside] = outside_images[outer]
 
-    fG = fR[unrank_set(enc.fG_rank, r, g)]
     alg = family.spec(enc.advice, n)
-    known = {int(z): int(table[z]) for z in outside}
-    in_R = set(int(v) for v in R)
+    finals = {y: run(alg, build_h(table, R, y), y)[0] for y in map(int, fG)}
     recovered = []
-    for y in fG:
-        h = build_h(known, R, int(y))
-        final, _ = run(alg, h, int(y))
+    for y, final in finals.items():
         dist = measurement_distribution(final, alg.output_register)
         top_two = np.partition(dist, -2)[-2:]
         if top_two[1] - top_two[0] <= ARGMAX_TOL:
             raise AmbiguousDecodeError(
-                f"no clear inverse for image {int(y)}: top probabilities {top_two}")
+                f"no clear inverse for image {y}: top probabilities {top_two}", finals)
         x = int(np.argmax(dist))
-        if x not in in_R or table[x] != -1:
-            raise DecodeFailure(f"simulated inverse {x} of image {int(y)} is not fresh in R")
-        table[x] = int(y)
+        if table[x] != -1:  # off R, or recovered already
+            raise DecodeFailure(f"simulated inverse {x} of image {y} is not fresh in R", finals)
+        table[x] = y
         recovered.append(x)
 
     leftover = np.setdiff1d(R, np.array(recovered, dtype=np.int64))
     leftover_images = np.setdiff1d(fR, fG, assume_unique=True)
-    inner = unrank_perm(enc.inner_rank, r - g)
     table[leftover] = leftover_images[inner]
 
     if not np.array_equal(np.sort(table), np.arange(n)):
-        raise DecodeFailure("reconstruction is not a permutation")
-    return table
+        raise DecodeFailure("reconstruction is not a permutation", finals)
+    return table, finals
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,9 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, Quer
 
     A ``ClassicalSpec`` run ends in a ``BasisState``, its final coordinates
     (each transition must keep them inside the layout, or ValueError); any
-    other run ends in a dense ``PureState``."""
+    other run ends in a dense ``PureState``.  A dense step's squared norm is
+    the sum of the position masses computed for it, and NonUnitaryStepError
+    is raised when that sum leaves MASS_RANGE."""
     effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
     lay, num_queries = alg.layout, alg.num_queries
     _check_layout(lay, effective)
@@ -350,12 +352,14 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, Quer
     amps[0] = 1.0
     for t in range(num_queries + 1):
         amps = np.asarray(step(t, amps), dtype=np.complex128)
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NonUnitaryStepError(f"step {t} of {alg.name} produced norm {norm}")
+        mass = _position_mass(amps, lay)
+        squared_norm = mass.sum()
+        if not MASS_RANGE[0] <= squared_norm <= MASS_RANGE[1]:
+            raise NonUnitaryStepError(
+                f"step {t} of {alg.name} produced norm {math.sqrt(squared_norm)}")
         if t < num_queries:
-            per_step[t] = _position_mass(amps, lay)
-            _check_forbidden(per_step[t], effective)
+            per_step[t] = mass
+            _check_forbidden(mass, effective)
             amps = amps[index]
     return PureState(amps, lay), QueryTrace(per_step, num_queries)
 

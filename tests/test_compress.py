@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from advice_lab import compress as compress_mod
 from advice_lab.adapters import GroverInversion, HellmanInversion, LookupInversion
 from advice_lab.compress import (
     AmbiguousDecodeError,
@@ -31,6 +32,7 @@ from advice_lab.compress import (
     unrank_set,
 )
 from advice_lab.qsim import AlgorithmSpec, BasisLayout, PermutationOracle
+from advice_lab.qsim import run as qrun
 from advice_lab.util import stream_rng
 
 
@@ -241,22 +243,62 @@ class TestInversionAndGoodSets:
 class TestBuildH:
     def test_empty_sample_reproduces_f(self):
         f = np.random.default_rng(10).permutation(8)
-        h = build_h({z: int(f[z]) for z in range(8)}, [], 3)
+        h = build_h(f, [], 3)
         assert np.array_equal(h.table, f)
 
     def test_full_sample_is_constant(self):
-        h = build_h({}, list(range(8)), 5)
+        h = build_h(np.full(8, -1), list(range(8)), 5)
         assert np.array_equal(h.table, np.full(8, 5))
 
     def test_agrees_with_f_at_the_preimage(self):
         f = np.random.default_rng(11).permutation(4)
-        y = int(f[2])
-        h = build_h({z: int(f[z]) for z in range(4) if z != 2}, [2], y)
+        known = f.copy()
+        known[2] = -1
+        h = build_h(known, [2], int(f[2]))
         assert np.array_equal(h.table, f)
+        assert known[2] == -1  # the caller's array is left as it was
 
     def test_coverage_mismatch(self):
-        with pytest.raises(ValueError):
-            build_h({0: 1}, [2, 3], 0)
+        # known must be -1 exactly on R: a value on R, a -1 off R and an
+        # element of R outside [0, N) are each rejected
+        for known, R in (([1, 0, 3, 2], [2]), ([1, -1, -1, 2], [2]), ([1, 0, -1, 2], [2, 4])):
+            with pytest.raises(ValueError):
+                build_h(np.array(known), R, 0)
+
+
+class TestSampleValidation:
+    """encode, decode and good_set read R through one check."""
+
+    F = PermutationOracle(np.random.default_rng(0).permutation(16))
+    FAMILY = LookupInversion()
+    PARAMS = CompressionParams(delta=0.2, c=0.001)
+
+    def _call(self, which, R):
+        if which == "encode":
+            return encode(self.F, self.FAMILY, R, self.PARAMS)
+        if which == "good_set":
+            return good_set(self.F, self.FAMILY, R, self.PARAMS)
+        enc = encode(self.F, self.FAMILY, [1, 6, 11], self.PARAMS)
+        return decode(enc, R, self.FAMILY, self.PARAMS)
+
+    @pytest.mark.parametrize("which", ["encode", "decode", "good_set"])
+    @pytest.mark.parametrize("R, match", [
+        ([-1, 6, 11], "outside"),
+        ([1, 6, 99], "outside"),
+        ([1, 6, 6], "repeats"),
+    ], ids=["negative", "past-N", "repeat"])
+    def test_bad_element_rejected(self, which, R, match):
+        with pytest.raises(ValueError, match=match):
+            self._call(which, R)
+
+    @pytest.mark.parametrize("which", ["encode", "decode", "good_set"])
+    def test_non_integer_rejected(self, which):
+        with pytest.raises(TypeError):
+            self._call(which, [1.5, 6, 11])
+
+    @pytest.mark.parametrize("which", ["encode", "decode", "good_set"])
+    def test_unsorted_numpy_sample_accepted(self, which):
+        assert self._call(which, np.array([11, 1, 6])) is not None
 
 
 class TestEncodeDecode:
@@ -272,7 +314,9 @@ class TestEncodeDecode:
         assert enc is not None
         assert enc.good_count == 2 and enc.r_size == 2
         assert (enc.fR_rank, enc.outer_rank, enc.fG_rank, enc.inner_rank) == (0, 0, 0, 0)
-        assert np.array_equal(decode(enc, [0, 1], family, self.params), np.arange(4))
+        table, finals = decode(enc, [0, 1], family, self.params)
+        assert np.array_equal(table, np.arange(4))
+        assert sorted(finals) == [0, 1]
 
     def test_empty_sample_fails(self):
         f = PermutationOracle(np.arange(4))
@@ -306,7 +350,7 @@ class TestEncodeDecode:
             enc = encode(f, family, R, self.params)
             if enc is None:
                 continue
-            assert np.array_equal(decode(enc, R, family, self.params), f.table)
+            assert np.array_equal(decode(enc, R, family, self.params)[0], f.table)
             exact += 1
         assert exact >= 32  # 0.8 of the draws
 
@@ -326,7 +370,7 @@ class TestEncodeDecode:
             saw_success += 1
             if enc.good_count < enc.r_size:
                 saw_leftover += 1
-            assert np.array_equal(decode(enc, R, family, params), f.table)
+            assert np.array_equal(decode(enc, R, family, params)[0], f.table)
         assert saw_success > 10
         assert saw_leftover > 0
 
@@ -350,26 +394,70 @@ class TestEncodeDecode:
         f = PermutationOracle(np.arange(8))
         helper = LookupInversion(verify=False)
         enc = encode(f, helper, [1, 2], self.params)
-        with pytest.raises(AmbiguousDecodeError):
+        with pytest.raises(AmbiguousDecodeError) as failure:
             decode(enc, [1, 2], toy_uniform_family(), self.params)
+        # every stored image was run before the first one was checked
+        assert sorted(failure.value.finals) == [1, 2]
 
     def test_wrong_preimage_rejected(self):
         # a constant algorithm lands outside R, which decode must refuse
         f = PermutationOracle(np.arange(8))
         helper = LookupInversion(verify=False)
         enc = encode(f, helper, [1, 2], self.params)
-        with pytest.raises(DecodeFailure):
+        with pytest.raises(DecodeFailure) as failure:
             decode(enc, [1, 2], toy_constant_family(6), self.params)
+        assert sorted(failure.value.finals) == [1, 2]
+
+    def test_corrupt_inner_rank_raises_before_any_run(self, monkeypatch):
+        f = PermutationOracle(np.arange(8))
+        family = LookupInversion(verify=False)
+        enc = encode(f, family, [1, 2], self.params)
+        assert enc.good_count == 2  # so decode has images to run
+        bad = dataclasses.replace(enc, inner_rank=math.factorial(enc.r_size - enc.good_count))
+
+        def no_run(*_args):
+            raise AssertionError("decode ran the algorithm before unranking")
+
+        monkeypatch.setattr(compress_mod, "run", no_run)
+        with pytest.raises(CorruptEncodingError):
+            decode(bad, [1, 2], family, self.params)
+
+    @pytest.mark.parametrize("family", [LookupInversion(verify=True), HellmanInversion(s=1),
+                                        HellmanInversion(s=2), GroverInversion()],
+                             ids=lambda family: family.name)
+    def test_finals_are_the_runs_against_the_hybrid_oracle(self, family):
+        # decode's finals, read from its return value or from the failure it
+        # raises, equal fresh runs against build_h(f off R, R, y)
+        f = PermutationOracle(np.random.default_rng(21).permutation(16))
+        params = CompressionParams(delta=0.5, c=0.9)
+        alg = family.spec(family.preprocess(f), 16)
+        encoded = 0
+        for R in ([3], [0, 9], [2, 5, 11], [1, 4, 7, 13], [6, 8, 10, 12, 14]):
+            enc = encode(f, family, R, params)
+            if enc is None:
+                continue
+            encoded += 1
+            try:
+                finals = decode(enc, R, family, params)[1]
+            except DecodeFailure as failure:
+                finals = failure.finals
+            known = f.table.copy()
+            known[R] = -1
+            assert sorted(finals) == sorted(int(f.table[x]) for x in enc.runs)
+            for y, final in finals.items():
+                expected, _ = qrun(alg, build_h(known, R, y), y)
+                assert np.array_equal(final.amplitudes, expected.amplitudes)
+        assert encoded >= 2
 
     def test_h_closeness_for_good_elements(self):
-        from advice_lab.qsim import run as qrun
         f = PermutationOracle(np.random.default_rng(16).permutation(16))
         family = LookupInversion(verify=True)
         advice = family.preprocess(f)
         alg = family.spec(advice, 16)
         R = [2, 6, 7, 13]
         good = good_set(f, family, R, self.params)
-        known = {z: int(f.table[z]) for z in range(16) if z not in set(R)}
+        known = f.table.copy()
+        known[R] = -1
         for x in good:
             y = int(f.table[x])
             h = build_h(known, R, y)
@@ -384,7 +472,6 @@ class TestEventIndependence:
         # event A: x lands in the sample; event B: the run's stray mass on the
         # rest of the sample stays under c/T.  A reads x's coin, B reads the
         # others, so their joint frequency matches the product of marginals.
-        from advice_lab.qsim import run as qrun
         n, x = 8, 3
         f = PermutationOracle(np.random.default_rng(17).permutation(n))
         family = HellmanInversion(s=2)

@@ -1,4 +1,5 @@
-"""Smoke test: every narrative demo runs to completion and prints its tables."""
+"""Smoke test: every narrative demo and the README quick start run to completion
+and print something."""
 
 import runpy
 from pathlib import Path
@@ -15,4 +16,12 @@ def test_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quick start", "exec"), {})
     assert capsys.readouterr().out.strip()

@@ -1,5 +1,6 @@
 """Experiment commands: invariant flags, reproducibility, CLI surface."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from advice_lab import compress, harness, qsim
-from advice_lab.adapters import HellmanInversion
+from advice_lab.adapters import GroverInversion, HellmanInversion
 from advice_lab.cli import main
 from advice_lab.qsim import PermutationOracle
 
@@ -105,7 +106,8 @@ class TestReproducibility:
 
 
 class TestCompressTrial:
-    """The audit reuses the encoder's runs; the decoder never reads them."""
+    """The audit reads the encoder's runs against f and decode's runs against
+    the hybrid oracle; it makes none of its own."""
 
     F = PermutationOracle(np.random.default_rng(0).permutation(16))
     FAMILY = HellmanInversion(2)
@@ -113,20 +115,50 @@ class TestCompressTrial:
     PARAMS = compress.CompressionParams(0.9, 0.001)
 
     def test_one_f_run_per_element_and_one_h_run_per_good_element(self, monkeypatch):
-        calls = []
+        calls = {"run": 0, "build_h": 0, "spec": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return qsim.run(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(compress, "run", counted)
-        monkeypatch.setattr(harness, "run", counted)
+        monkeypatch.setattr(compress, "run", counted("run", qsim.run))
+        monkeypatch.setattr(harness, "run", counted("run", qsim.run))
+        monkeypatch.setattr(compress, "build_h", counted("build_h", compress.build_h))
+        monkeypatch.setattr(HellmanInversion, "spec", counted("spec", HellmanInversion.spec))
         record = harness.compress_trial(self.F, self.FAMILY, self.R, self.PARAMS)
         assert record["roundtrip_exact"] and record["h_ok"]
         assert record["good_count"] == 2
-        # encode: every element of R against f; audit and decode: every good
-        # element against the hybrid oracle, once each.
-        assert len(calls) == len(self.R) + 2 * record["good_count"]
+        # encode: every element of R against f; decode: every good element
+        # against the hybrid oracle, once each.  The advice is parsed once by
+        # encode and once by decode.
+        assert calls == {"run": len(self.R) + record["good_count"],
+                         "build_h": record["good_count"], "spec": 2}
+
+    def test_failing_decode_is_audited_from_its_runs(self):
+        # both elements of R are good, but the hybrid oracle sends both to y,
+        # so Grover's output is ambiguous and decode raises
+        f = PermutationOracle(np.random.default_rng(0).permutation(8))
+        record = harness.compress_trial(f, GroverInversion(), [1, 5],
+                                        compress.CompressionParams(0.2, 0.5))
+        assert record["good_count"] == 2 and not record["decode_ok"]
+        assert record["max_h_distance"] == 0.9999999999999999
+        assert not record["h_ok"]
+
+    def test_rank_past_its_bits_fails_length_identity(self, monkeypatch):
+        encode = compress.encode
+
+        def oversized(*args):
+            enc = encode(*args)
+            return dataclasses.replace(enc, outer_rank=1 << enc.component_bits()["outer"])
+
+        monkeypatch.setattr(compress, "encode", oversized)
+        record = harness.compress_trial(self.F, self.FAMILY, self.R, self.PARAMS)
+        assert not record["length_identity_ok"]
+        assert record["length_bound_ok"] and record["envelope_ok"]
+        # decode rejects the rank before any run, so the audit is empty
+        assert not record["decode_ok"] and record["max_h_distance"] == 0.0
 
     def test_hellman_at_1024_audits_without_dense_states(self, monkeypatch):
         def dense(*_args):
@@ -150,8 +182,9 @@ class TestCompressTrial:
         clone = compress.encoding_from_json(compress.encoding_to_json(enc), 16)
         assert clone.runs == {}
         assert clone == enc
-        decoded = compress.decode(clone, self.R, self.FAMILY, self.PARAMS)
+        decoded, finals = compress.decode(clone, self.R, self.FAMILY, self.PARAMS)
         assert np.array_equal(decoded, self.F.table)
+        assert sorted(finals) == sorted(int(self.F.table[x]) for x in enc.runs)
 
 
 class TestEmission:
