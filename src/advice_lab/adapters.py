@@ -29,7 +29,7 @@ from .qsim import (
     default_grover_iterations,
     grover_spec,
 )
-from .util import bits_to_int, bitstring, ceil_log2, int_to_bits, parse_bitstring
+from .util import ceil_log2, pack_fields, parse_bitstring
 
 
 class InversionFamily(Protocol):
@@ -153,13 +153,14 @@ class LookupInversion:
         n = ceil_log2(n_elements)
         inverse = np.empty(n_elements, dtype=np.int64)
         inverse[f.table] = np.arange(n_elements)
-        return "".join(bitstring(int_to_bits(int(x), n)) for x in inverse)
+        return pack_fields(inverse, n)
 
     def spec(self, advice: str, n_elements: int) -> AlgorithmSpec:
         n = ceil_log2(n_elements)
         if len(advice) != n_elements * n:
             raise ValueError("advice length does not match the domain")
-        inverse = [bits_to_int(parse_bitstring(advice[y * n:(y + 1) * n])) for y in range(n_elements)]
+        bits = parse_bitstring(advice).reshape(n_elements, n)
+        inverse = (bits @ (1 << np.arange(n, dtype=np.int64))).tolist()
         num_queries = 1 if self.verify else 0
 
         def transition_factory(run_input):

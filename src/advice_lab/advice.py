@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .qsim import BitStringOracle, PermutationOracle
-from .util import bits_to_int, bitstring, ceil_log2, int_to_bits, parse_bitstring
+from .util import bits_to_int, bitstring, ceil_log2, pack_fields, parse_bitstring
 
 
 class CorruptTableError(RuntimeError):
@@ -200,12 +200,13 @@ class HellmanTable:
         bits, then each pair's left and right in n bits each (integers least
         significant bit first).  Exactly bit_size + header_bits long."""
         width = ceil_log2(self.num_positions + 1)
-        fields = []
+        values, widths = [], []
         for cycle in self.cycles:
-            fields.append(int_to_bits(len(cycle), width))
+            values.append(len(cycle))
             for left, right, _stride in cycle:
-                fields += [int_to_bits(left, self.n), int_to_bits(right, self.n)]
-        return "".join(bitstring(field) for field in fields)
+                values += (left, right)
+            widths += [width] + [self.n] * (2 * len(cycle))
+        return pack_fields(values, widths)
 
     def to_json(self) -> str:
         return json.dumps({

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .qsim import FunctionOracle, PermutationOracle, State, measurement_distribution, run
-from .util import ceil_log2, parse_bitstring
+from .util import bitstring, ceil_log2, parse_bitstring
 
 ARGMAX_TOL = 1e-9
 # An element counts as inverted when its run outputs it with at least this probability.
@@ -56,8 +56,9 @@ class CorruptEncodingError(ValueError):
 
 def rank_set(elements) -> int:
     """Colex rank of a subset among all subsets of its size: the sorted
-    elements s_0 < s_1 < ... contribute sum C(s_i, i+1)."""
-    sorted_elems = sorted(int(e) for e in elements)
+    elements s_0 < s_1 < ... contribute sum C(s_i, i+1).  TypeError for a
+    non-integer element, ValueError for a repeat or a negative element."""
+    sorted_elems = sorted(operator.index(e) for e in elements)
     if any(b <= a for a, b in zip(sorted_elems, sorted_elems[1:])):
         raise ValueError("elements must be distinct")
     if sorted_elems and sorted_elems[0] < 0:
@@ -66,50 +67,154 @@ def rank_set(elements) -> int:
 
 
 def unrank_set(rank: int, n: int, k: int) -> np.ndarray:
-    """Inverse of rank_set over k-subsets of [n]; rank must lie in [0, C(n,k))."""
+    """Inverse of rank_set over k-subsets of [n]; rank must lie in [0, C(n,k)).
+
+    The largest element left is the largest c below the previous one with
+    C(c, i) <= rank; a search that doubles its step down from the previous
+    element and then bisects finds it in O(log gap) binomials."""
     if not 0 <= k <= n:
         raise CorruptEncodingError("subset size out of range")
     if not 0 <= rank < math.comb(n, k):
         raise CorruptEncodingError("subset rank out of range")
     out = []
-    c = n - 1
+    hi = n  # every element left lies below hi
     for i in range(k, 0, -1):
-        while math.comb(c, i) > rank:
-            c -= 1
-        out.append(c)
-        rank -= math.comb(c, i)
-        c -= 1
-    return np.array(sorted(out), dtype=np.int64)
+        # C(i - 1, i) = 0 <= rank, so the answer lies in [i - 1, hi).
+        lo, step = hi - 1, 1
+        while lo > i - 1 and math.comb(lo, i) > rank:
+            hi, lo, step = lo, max(i - 1, lo - step), 2 * step
+        while hi - lo > 1:  # C(lo, i) <= rank < C(hi, i)
+            mid = (lo + hi) // 2
+            if math.comb(mid, i) <= rank:
+                lo = mid
+            else:
+                hi = mid
+        out.append(lo)
+        rank -= math.comb(lo, i)
+        hi = lo
+    return np.array(out[::-1], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Permutation codec (factorial number system / Lehmer code)
+#
+# The rank of a permutation g of [0, M) is sum_i d_i (M-1-i)!, with Lehmer
+# digit d_i the number of later elements smaller than g[i].  Read left to
+# right, the digits are a mixed-radix numeral with radices M, M-1, ..., 1.
+# A product tree over the radices converts between digits and integer:
+# Horner's rule on leaves of _LEAF digits, then halves joined as
+# a * P_right + b, and split back top down with one divmod per node.  M! is
+# never built.
 # ---------------------------------------------------------------------------
 
-def rank_perm(perm) -> int:
-    """Lehmer rank: identity maps to 0, the reversal to M! - 1."""
-    g = [int(v) for v in perm]
+_DIGIT_BLOCK = 256  # positions whose digits one block of array work counts
+_LEAF = 64          # digits per leaf of the mixed-radix product tree
+# np.triu(ones, 1) built once: entry [i, j] is i < j.
+_EARLIER = np.triu(np.ones((_DIGIT_BLOCK, _DIGIT_BLOCK), dtype=bool), 1)
+
+
+def _lehmer_digits(g: np.ndarray) -> np.ndarray:
+    """d_i = g[i] minus the number of earlier elements below g[i].  Earlier
+    blocks are counted through a cumulative sum of the values seen so far,
+    the block's own earlier elements by one triangular comparison."""
     m = len(g)
-    if sorted(g) != list(range(m)):
+    seen = np.zeros(m, dtype=np.int64)
+    digits = np.empty(m, dtype=np.int64)
+    for lo in range(0, m, _DIGIT_BLOCK):
+        blk = g[lo:lo + _DIGIT_BLOCK]
+        k = len(blk)
+        earlier_blocks = np.cumsum(seen)[blk]  # placed values <= v; v is not placed yet
+        seen[blk] = 1
+        this_block = ((blk[:, None] < blk) & _EARLIER[:k, :k]).sum(axis=0)
+        digits[lo:lo + k] = blk - earlier_blocks - this_block
+    return digits
+
+
+def _leaf_bounds(m: int) -> list[tuple[int, int]]:
+    return [(a, min(a + _LEAF, m)) for a in range(0, m, _LEAF)]
+
+
+def _radix_products(m: int) -> list[list[int]]:
+    """Levels of the product tree, leaves first: a node's entry is the
+    product of its digits' radices, (M-a)!/(M-b)! for digits [a, b).  The
+    root's product (M!) is never formed."""
+    levels = [[math.perm(m - a, b - a) for a, b in _leaf_bounds(m)]]
+    while len(levels[-1]) > 2:
+        w = levels[-1]
+        # An odd last node rises to the next level unpaired.
+        levels.append([w[i] * w[i + 1] for i in range(0, len(w) - 1, 2)] + w[len(w) & ~1:])
+    return levels
+
+
+def _int_array(values) -> np.ndarray:
+    """values as a 1-D int64 array; TypeError for an element that is not an
+    integer, ValueError for one outside int64."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        return values.astype(np.int64)
+    items = [operator.index(v) for v in values]
+    try:
+        return np.array(items, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"element outside int64: {exc}") from exc
+
+
+def rank_perm(perm) -> int:
+    """Lehmer rank: identity maps to 0, the reversal to M! - 1.  TypeError
+    for a non-integer element, ValueError unless perm is a permutation of
+    0..M-1."""
+    g = _int_array(perm)
+    m = len(g)
+    if not np.array_equal(np.sort(g), np.arange(m)):
         raise ValueError("not a permutation of 0..M-1")
-    rank = 0
-    for i in range(m):
-        smaller_later = sum(1 for j in range(i + 1, m) if g[j] < g[i])
-        rank += smaller_later * math.factorial(m - 1 - i)
-    return rank
+    digits = _lehmer_digits(g).tolist()
+    values = []
+    for a, b in _leaf_bounds(m):
+        value = 0
+        for d, radix in zip(digits[a:b], range(m - a, m - b, -1)):
+            value = value * radix + d
+        values.append(value)
+    for products in _radix_products(m):
+        if len(values) == 1:
+            break
+        values = ([values[i] * products[i + 1] + values[i + 1] for i in range(0, len(values) - 1, 2)]
+                  + values[len(values) & ~1:])
+    return values[0] if values else 0
 
 
 def unrank_perm(rank: int, m: int) -> np.ndarray:
-    """Inverse of rank_perm; rank must lie in [0, M!)."""
-    if not 0 <= rank < math.factorial(m):
+    """Inverse of rank_perm; rank must lie in [0, M!).
+
+    The rank splits top down through the product tree, one divmod per node.
+    Only the leftmost path can carry an excess, so a rank of M! or more
+    leaves a nonzero quotient after the first leaf's digits.  Each digit
+    then pops its value from the list of values not yet taken, moving at
+    most M^2/2 list pointers in all."""
+    rank = operator.index(rank)
+    if m < 0:
+        raise CorruptEncodingError("permutation size out of range")
+    if rank < 0:
+        raise CorruptEncodingError("permutation rank out of range")
+    values = [rank]
+    for products in reversed(_radix_products(m)):
+        split = []
+        for i, value in enumerate(values):
+            if 2 * i + 1 < len(products):
+                split += divmod(value, products[2 * i + 1])
+            else:
+                split.append(value)
+        values = split
+    digits, leftover = [], rank if m == 0 else 0
+    for (a, b), value in zip(_leaf_bounds(m), values):
+        leaf = []
+        for radix in range(m - b + 1, m - a + 1):
+            value, d = divmod(value, radix)
+            leaf.append(d)
+        digits += leaf[::-1]
+        leftover += value
+    if leftover:
         raise CorruptEncodingError("permutation rank out of range")
     remaining = list(range(m))
-    out = []
-    for i in range(m):
-        f = math.factorial(m - 1 - i)
-        digit, rank = divmod(rank, f)
-        out.append(remaining.pop(digit))
-    return np.array(out, dtype=np.int64)
+    return np.array([remaining.pop(d) for d in digits], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +583,7 @@ def encoding_from_json(payload: str, num_elements: int) -> Encoding:
     bits = bits[:s_bits]
     enc = Encoding(
         num_elements=num_elements,
-        advice="".join("1" if b else "0" for b in bits),
+        advice=bitstring(bits),
         good_count=good_count,
         r_size=r_size,
         fR_rank=_unblob(fR),

@@ -25,7 +25,27 @@ def bits_to_int(bits) -> int:
 
 
 def bitstring(bits) -> str:
-    return "".join("1" if int(b) else "0" for b in bits)
+    """A 0/1 sequence as a '0'/'1' string; any nonzero entry reads as '1'."""
+    ones = np.asarray(bits) != 0
+    return (ones.view(np.uint8) + ord("0")).tobytes().decode()
+
+
+def pack_fields(values, widths) -> str:
+    """Each value in its own width of bits, least significant bit first, the
+    fields concatenated into one '0'/'1' string.  ``widths`` is one width for
+    every value or one per value, each in [0, 63].
+
+    Raises ValueError when a value is negative or needs more bits than its
+    width."""
+    values = np.asarray(values, dtype=np.int64)
+    widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), values.shape)
+    if np.any((widths < 0) | (widths > 63)):
+        raise ValueError("field widths must lie in [0, 63]")
+    if np.any((values < 0) | (values >> widths != 0)):
+        raise ValueError("a value does not fit in its field width")
+    shifts = np.arange(int(widths.max(initial=0)))
+    bits = (values[:, None] >> shifts) & 1
+    return bitstring(bits[shifts < widths[:, None]])
 
 
 def parse_bitstring(s: str) -> np.ndarray:

@@ -21,6 +21,7 @@ from advice_lab.qsim import (
     measurement_distribution,
     run,
 )
+from advice_lab.util import ceil_log2, int_to_bits
 
 
 class TestParityBoxAdapter:
@@ -122,6 +123,19 @@ class TestLookupFamily:
     def test_rejects_wrong_advice_length(self):
         with pytest.raises(ValueError):
             LookupInversion().spec("0101", 16)
+
+    @pytest.mark.parametrize("n_elements", [2, 16, 256])
+    def test_advice_matches_per_element_join(self, n_elements):
+        f = PermutationOracle(np.random.default_rng(n_elements).permutation(n_elements))
+        n = ceil_log2(n_elements)
+        inverse = np.argsort(f.table)
+        reference = "".join("1" if b else "0" for x in inverse for b in int_to_bits(int(x), n))
+        family = LookupInversion()
+        assert family.preprocess(f) == reference
+        alg = family.spec(reference, n_elements)
+        for y in range(n_elements):
+            final, _ = run(alg, f, y)
+            assert int(np.argmax(measurement_distribution(final, "position"))) == inverse[y]
 
 
 class TestHellmanFamily:

@@ -20,7 +20,18 @@ from advice_lab.advice import (
     parity_preprocess,
     parse_hellman_bits,
 )
-from advice_lab.util import ceil_log2
+from advice_lab.util import ceil_log2, int_to_bits
+
+
+def to_bits_reference(table: HellmanTable) -> str:
+    """The per-field join HellmanTable.to_bits must reproduce."""
+    width = ceil_log2(table.num_positions + 1)
+    fields = []
+    for cycle in table.cycles:
+        fields.append(int_to_bits(len(cycle), width))
+        for left, right, _stride in cycle:
+            fields += [int_to_bits(left, table.n), int_to_bits(right, table.n)]
+    return "".join("1" if b else "0" for field in fields for b in field)
 
 
 class TestParityPad:
@@ -280,6 +291,14 @@ class TestHellmanTable:
             table = hellman_build(f, s)
             assert parse_hellman_bits(table.to_bits(), n_elems) == table.anchors
             assert HellmanTable.from_json(table.to_json()) == table
+
+    @pytest.mark.parametrize("n_elems", [2, 16, 128, 1024])
+    def test_to_bits_matches_per_field_join(self, n_elems):
+        f = np.random.default_rng(n_elems + 1).permutation(n_elems)
+        for s in sorted({1, 2, 4, math.isqrt(n_elems)} & set(range(1, n_elems + 1))):
+            table = hellman_build(f, s)
+            assert table.to_bits() == to_bits_reference(table)
+            assert len(table.to_bits()) == table.bit_size + table.header_bits
 
     def test_json_roundtrip_bit_exact(self):
         f = np.random.default_rng(10).permutation(64)

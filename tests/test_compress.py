@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from advice_lab import compress as compress_mod
 from advice_lab.adapters import GroverInversion, HellmanInversion, LookupInversion
@@ -34,6 +36,115 @@ from advice_lab.compress import (
 from advice_lab.qsim import AlgorithmSpec, BasisLayout, PermutationOracle
 from advice_lab.qsim import run as qrun
 from advice_lab.util import stream_rng
+
+
+# ---------------------------------------------------------------------------
+# Quadratic reference codecs: the direct definitions the array codecs must
+# reproduce rank for rank.
+# ---------------------------------------------------------------------------
+
+def rank_set_reference(elements) -> int:
+    return sum(math.comb(e, i + 1) for i, e in enumerate(sorted(int(e) for e in elements)))
+
+
+def unrank_set_reference(rank: int, n: int, k: int) -> list:
+    out = []
+    c = n - 1
+    for i in range(k, 0, -1):
+        while math.comb(c, i) > rank:
+            c -= 1
+        out.append(c)
+        rank -= math.comb(c, i)
+        c -= 1
+    return sorted(out)
+
+
+def rank_perm_reference(perm) -> int:
+    g = [int(v) for v in perm]
+    m = len(g)
+    rank = 0
+    for i in range(m):
+        smaller_later = sum(1 for j in range(i + 1, m) if g[j] < g[i])
+        rank += smaller_later * math.factorial(m - 1 - i)
+    return rank
+
+
+def unrank_perm_reference(rank: int, m: int) -> list:
+    remaining = list(range(m))
+    out = []
+    for i in range(m):
+        digit, rank = divmod(rank, math.factorial(m - 1 - i))
+        out.append(remaining.pop(digit))
+    return out
+
+
+# Sizes at the codec's block (256) and product-tree leaf (64) edges.
+EDGE_SIZES = [0, 1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513]
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def permutations(draw, max_m=600):
+    m = draw(st.integers(0, max_m))
+    return np.array(draw(st.permutations(range(m))), dtype=np.int64)
+
+
+@st.composite
+def perm_ranks(draw, max_m=600):
+    m = draw(st.integers(0, max_m))
+    return draw(st.integers(0, math.factorial(m) - 1)), m
+
+
+@st.composite
+def set_ranks(draw, max_n=600):
+    n = draw(st.integers(0, max_n))
+    k = draw(st.integers(0, n))
+    return draw(st.integers(0, math.comb(n, k) - 1)), n, k
+
+
+class TestCodecsAgainstReference:
+    @PROPERTY_SETTINGS
+    @given(permutations())
+    @example(np.arange(64)[::-1].copy())
+    @example(np.arange(257))
+    def test_rank_perm_matches_reference(self, perm):
+        assert rank_perm(perm) == rank_perm_reference(perm)
+
+    @PROPERTY_SETTINGS
+    @given(perm_ranks())
+    def test_unrank_perm_matches_reference(self, rank_m):
+        rank, m = rank_m
+        perm = unrank_perm(rank, m)
+        assert perm.tolist() == unrank_perm_reference(rank, m)
+        assert rank_perm(perm) == rank
+
+    @pytest.mark.parametrize("m", EDGE_SIZES)
+    def test_edge_sizes_match_reference(self, m):
+        rng = np.random.default_rng(m)
+        for perm in (rng.permutation(m), np.arange(m), np.arange(m)[::-1].copy()):
+            rank = rank_perm(perm)
+            assert rank == rank_perm_reference(perm)
+            assert unrank_perm(rank, m).tolist() == perm.tolist()
+
+    @PROPERTY_SETTINGS
+    @given(set_ranks())
+    def test_unrank_set_matches_reference(self, rank_n_k):
+        rank, n, k = rank_n_k
+        subset = unrank_set(rank, n, k)
+        assert subset.tolist() == unrank_set_reference(rank, n, k)
+        assert rank_set(subset) == rank_set_reference(subset) == rank
+
+    @pytest.mark.parametrize("m", EDGE_SIZES)
+    def test_perm_rank_out_of_range(self, m):
+        for rank in (-1, math.factorial(m)):
+            with pytest.raises(CorruptEncodingError, match="rank out of range"):
+                unrank_perm(rank, m)
+        assert len(unrank_perm(math.factorial(m) - 1, m)) == m
+
+    def test_two_to_the_sixteen_roundtrip(self):
+        perm = np.random.default_rng(16).permutation(1 << 16)
+        assert np.array_equal(unrank_perm(rank_perm(perm), 1 << 16), perm)
 
 
 class TestSubsetCodec:
@@ -74,6 +185,11 @@ class TestSubsetCodec:
         with pytest.raises(ValueError):
             rank_set([1, 1, 2])
 
+    @pytest.mark.parametrize("elements", [[0.5, 2.7], [1.0], np.array([0.0, 3.0]), ["1"]])
+    def test_rejects_non_integers(self, elements):
+        with pytest.raises(TypeError):
+            rank_set(elements)
+
 
 class TestPermutationCodec:
     def test_identity_rank_zero(self):
@@ -104,6 +220,16 @@ class TestPermutationCodec:
     def test_rank_out_of_range(self):
         with pytest.raises(CorruptEncodingError):
             unrank_perm(math.factorial(4), 4)
+
+    @pytest.mark.parametrize("perm", [[0.0, 1.5], [0.0, 1.0], np.array([1.0, 0.0]), [0, None]])
+    def test_rejects_non_integers(self, perm):
+        with pytest.raises(TypeError):
+            rank_perm(perm)
+
+    @pytest.mark.parametrize("perm", [[0, 0], [1, 2], [-1, 0], [0, 1 << 70], np.array([0, 2])])
+    def test_rejects_non_permutations(self, perm):
+        with pytest.raises(ValueError, match="not a permutation|outside int64"):
+            rank_perm(perm)
 
 
 class TestParamsAndSampling:

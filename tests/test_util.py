@@ -1,8 +1,9 @@
 """Shared helpers: bit packing and bit strings round-trip or fail loudly."""
 
+import numpy as np
 import pytest
 
-from advice_lab.util import bits_to_int, int_to_bits, parse_bitstring
+from advice_lab.util import bits_to_int, bitstring, int_to_bits, pack_fields, parse_bitstring
 
 
 class TestIntToBits:
@@ -26,3 +27,31 @@ class TestParseBitstring:
     def test_rejects_other_characters(self, text):
         with pytest.raises(ValueError):
             parse_bitstring(text)
+
+
+class TestPackFields:
+    def test_matches_per_field_join(self):
+        rng = np.random.default_rng(3)
+        widths = rng.integers(0, 20, size=200)
+        values = [int(rng.integers(1 << w)) for w in widths]
+        reference = "".join(bitstring(int_to_bits(v, int(w))) for v, w in zip(values, widths))
+        assert pack_fields(values, widths) == reference
+        assert pack_fields(values[:3], 20) == "".join(bitstring(int_to_bits(v, 20)) for v in values[:3])
+
+    def test_empty_and_zero_width(self):
+        assert pack_fields([], 5) == ""
+        assert pack_fields([0, 0], 0) == ""
+        assert pack_fields([5, 0], [3, 0]) == "101"
+
+    @pytest.mark.parametrize("values, widths", [([4], 2), ([1], 0), ([-1], 8), ([3, 8], [2, 3]),
+                                                ([0], 64), ([0], -1)])
+    def test_rejects_values_that_do_not_fit(self, values, widths):
+        with pytest.raises(ValueError):
+            pack_fields(values, widths)
+
+
+class TestBitstring:
+    def test_nonzero_reads_as_one(self):
+        assert bitstring([0, 1, 2, 0]) == "0110"
+        assert bitstring(np.array([True, False])) == "10"
+        assert bitstring([]) == ""
