@@ -18,10 +18,8 @@ def main():
     print("=" * 72)
 
     part = scheme.partition(n, "10")
-    print(f"\n  advice class '10' holds {part.size} of {2 ** n} strings "
-          f"(2^(N-m) = {2 ** (n - m)})")
-    sample = ", ".join(format(int(x), "08b")[::-1] for x in part.members[:4])
-    print(f"  first members: {sample} ...")
+    print(f"\n  advice class '10' holds exactly 2^(N-m) = {part.size} of {2 ** n} strings,")
+    print("  a coset of the kernel of the group-parity maps")
 
     result = box_experiment(n, scheme, parity_box_algorithm, trials=12, seed=2024)
     print(f"\n  {'j':>2} {'window':>10} {'pair (x, y)':>22} {'bound':>8} "

@@ -59,7 +59,7 @@ def main():
     print(f"    writing f next to the advice would cost {plain:.1f} bits")
     print(f"    envelope: {len(encoding_to_json(enc))} JSON bytes")
 
-    decoded, finals = decode(enc, R, family, params)
+    decoded, finals = decode(enc, R, family)
     print(f"\n  decode reconstructs f exactly: {bool(np.array_equal(decoded, f.table))}")
     print("  (the good values were never written; the decoder re-derived them")
     print("   by simulating the inverter against the patched oracle, once for")

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .qsim import BitStringOracle, PermutationOracle
-from .util import bits_to_int, bitstring, ceil_log2, pack_fields, parse_bitstring
+from .util import bits_to_int, bitstring, ceil_log2, int_array, pack_fields, parse_bitstring
 
 
 class CorruptTableError(RuntimeError):
@@ -394,14 +394,11 @@ def _as_bits(x) -> np.ndarray:
 def _as_table(f) -> np.ndarray:
     if isinstance(f, PermutationOracle):
         return f.table
-    return np.asarray(f, dtype=np.int64)
+    return int_array(f)
 
 
 def _as_fn(f) -> Callable[[int], int]:
-    if isinstance(f, PermutationOracle):
-        table = f.table
-        return lambda z: int(table[z])
     if callable(f):
         return f
-    table = np.asarray(f)
+    table = _as_table(f)
     return lambda z: int(table[z])

@@ -18,12 +18,13 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .qsim import FunctionOracle, PermutationOracle, State, measurement_distribution, run
-from .util import bitstring, ceil_log2, parse_bitstring
+from .util import bitstring, ceil_log2, int_array, parse_bitstring
 
 ARGMAX_TOL = 1e-9
 # An element counts as inverted when its run outputs it with at least this probability.
@@ -146,23 +147,11 @@ def _radix_products(m: int) -> list[list[int]]:
     return levels
 
 
-def _int_array(values) -> np.ndarray:
-    """values as a 1-D int64 array; TypeError for an element that is not an
-    integer, ValueError for one outside int64."""
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
-        return values.astype(np.int64)
-    items = [operator.index(v) for v in values]
-    try:
-        return np.array(items, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"element outside int64: {exc}") from exc
-
-
 def rank_perm(perm) -> int:
     """Lehmer rank: identity maps to 0, the reversal to M! - 1.  TypeError
     for a non-integer element, ValueError unless perm is a permutation of
     0..M-1."""
-    g = _int_array(perm)
+    g = int_array(perm)
     m = len(g)
     if not np.array_equal(np.sort(g), np.arange(m)):
         raise ValueError("not a permutation of 0..M-1")
@@ -368,6 +357,11 @@ class Encoding:
         return 2 * ceil_log2(self.num_elements + 1)
 
     def component_bits(self) -> dict[str, int]:
+        return dict(self._component_bits)
+
+    @cached_property
+    def _component_bits(self) -> dict[str, int]:
+        """Computed once per encoding: the factorials grow with N."""
         n, r, g = self.num_elements, self.r_size, self.good_count
         return {
             "advice": self.advice_bits,
@@ -380,7 +374,7 @@ class Encoding:
 
     @property
     def logical_bits(self) -> int:
-        return sum(self.component_bits().values())
+        return sum(self._component_bits.values())
 
 
 def length_bound_bits(enc: Encoding) -> float:
@@ -442,8 +436,7 @@ def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Option
     )
 
 
-def decode(enc: Encoding, R, family,
-           params: CompressionParams) -> tuple[np.ndarray, dict[int, State]]:
+def decode(enc: Encoding, R, family) -> tuple[np.ndarray, dict[int, State]]:
     """Reconstruct the permutation and return it with the runs that did it.
 
     Every rank is unranked first, so a CorruptEncodingError comes before any

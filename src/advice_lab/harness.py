@@ -180,6 +180,8 @@ def cmd_box(n: int, m: int, trials: int, seed: int) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 def cmd_hellman(n: int, s_values, trials: int, seed: int) -> ResultTable:
+    if n < 2:
+        raise ValueError(f"N must be at least 2, got {n}")
     if not s_values or len(set(s_values)) != len(s_values):
         raise ValueError(f"strides must be a non-empty list without repeats, got {list(s_values)}")
     config = {"command": "hellman", "n": n, "s": list(s_values), "trials": trials, "seed": seed}
@@ -256,7 +258,7 @@ def compress_trial(f: PermutationOracle, family, R, params) -> dict:
 
     finals = {}
     try:
-        decoded, finals = compress_mod.decode(enc, R, family, params)
+        decoded, finals = compress_mod.decode(enc, R, family)
         record["decode_ok"] = True
         record["roundtrip_exact"] = bool(np.array_equal(decoded, f.table))
     except compress_mod.DecodeFailure as exc:

@@ -9,13 +9,14 @@ advice-class collision experiment that feeds it adversarial oracle pairs.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .advice import ParityPad, parity_preprocess
+from .advice import ParityPad, group_boundaries, parity_preprocess
 from .qsim import (
     AlgorithmSpec,
     BitStringOracle,
@@ -30,7 +31,7 @@ from .qsim import (
 from .util import bitstring, int_to_bits, stream_rng
 
 SWAP_TOL = 1e-9
-ENUMERATION_CAP = 12  # advice classes are enumerated over all 2^n strings
+MAX_BOX_N = 63  # box_experiment draws each string as one int64
 
 
 # ---------------------------------------------------------------------------
@@ -39,19 +40,31 @@ ENUMERATION_CAP = 12  # advice classes are enumerated over all 2^n strings
 
 @dataclass(frozen=True)
 class AdvicePartition:
-    """All n-bit strings mapping to one advice value under a scheme."""
+    """The n-bit strings (ints, bit z = position z) a parity scheme maps to
+    alpha: a coset of the kernel of the m group-parity maps."""
 
     n: int
     advice_bits: int
     alpha: str
-    members: np.ndarray  # strings packed as ints, bit z = position z
+    starts: tuple  # group start indices, starts[0] == 0
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return 1 << (self.n - self.advice_bits)
 
-    def meets_size_bound(self) -> bool:
-        return self.size >= 2 ** (self.n - self.advice_bits)
+    def collision(self, window: Sequence[int]) -> tuple[int, int]:
+        """The pair collision_in_window finds in the class, in O(N): p is the
+        least window index that is not its group's first window index w0.  The
+        larger string is the least one in the class with bit p set; the smaller
+        flips its bits p and w0, which keeps every group parity."""
+        window = _checked_window(window, self.n)
+        groups = [bisect.bisect_right(self.starts, i) - 1 for i in window]
+        k = next((k for k in range(1, len(window)) if groups[k] == groups[k - 1]), None)
+        if k is None:
+            raise ValueError("no collision: the window holds at most one index per group")
+        least = sum(1 << lo for lo, a in zip(self.starts, self.alpha) if a == "1")
+        base = least ^ (1 << self.starts[groups[k]])
+        return base ^ (1 << window[k - 1]), base ^ (1 << window[k])
 
 
 @dataclass(frozen=True)
@@ -67,22 +80,20 @@ class ParityAdviceScheme:
         return bitstring(self.pad_for(bits).parities)
 
     def partition(self, n: int, alpha: str) -> AdvicePartition:
-        if n > ENUMERATION_CAP:
-            raise ValueError(f"class enumeration is capped at n <= {ENUMERATION_CAP}")
-        xs = np.arange(1 << n, dtype=np.uint64)
-        pad = self.pad_for(np.zeros(n, dtype=np.uint8))
-        keys = np.zeros(1 << n, dtype=np.uint64)
-        for g in range(self.m):
-            lo, hi = pad.group_bounds(g)
-            mask = np.uint64(((1 << hi) - 1) ^ ((1 << lo) - 1))
-            parity = np.bitwise_count(xs & mask).astype(np.uint64) & np.uint64(1)
-            keys |= parity << np.uint64(g)
-        alpha_key = sum(int(b) << g for g, b in enumerate(alpha))
-        members = np.flatnonzero(keys == alpha_key).astype(np.int64)
-        return AdvicePartition(n, self.m, alpha, members)
+        if len(alpha) != self.m or not set(alpha) <= {"0", "1"}:
+            raise ValueError(f"advice must be {self.m} characters of 0/1, got {alpha!r}")
+        starts = tuple(int(s) for s in group_boundaries(n, self.m))
+        return AdvicePartition(n, self.m, alpha, starts)
 
 
-def collision_in_window(members, window: Sequence[int], n: int) -> tuple[int, int]:
+def _checked_window(window: Sequence[int], n: int) -> list[int]:
+    window = sorted(set(int(i) for i in window))
+    if any(not 0 <= i < n for i in window):
+        raise ValueError("window index out of range")
+    return window
+
+
+def collision_in_window(strings, window: Sequence[int], n: int) -> tuple[int, int]:
     """Find two strings of the set that agree everywhere outside the window.
 
     Bucketing on the coordinates outside the window has only 2^(n - |window|)
@@ -90,12 +101,10 @@ def collision_in_window(members, window: Sequence[int], n: int) -> tuple[int, in
     strings are scanned in increasing order and the first bucket collision is
     returned.
     """
-    window = sorted(set(int(i) for i in window))
-    if any(not 0 <= i < n for i in window):
-        raise ValueError("window index out of range")
+    window = _checked_window(window, n)
     outside_mask = ((1 << n) - 1) ^ sum(1 << i for i in window)
     buckets: dict[int, int] = {}
-    for x in sorted(int(v) for v in members):
+    for x in sorted(int(v) for v in strings):
         key = x & outside_mask
         if key in buckets:
             return buckets[key], x
@@ -183,13 +192,8 @@ def expectation_check(totals: np.ndarray, j: int, num_queries: int,
     mean = float(draws.mean())
     stderr = float(draws.std(ddof=1) / math.sqrt(samples))
     expected = num_queries / (n - 1)
-    return ExpectationReport(
-        mean=mean,
-        expected=expected,
-        stderr=stderr,
-        samples=samples,
-        within_3se=abs(mean - expected) <= 3 * stderr + 1e-12,
-    )
+    return ExpectationReport(mean=mean, expected=expected, stderr=stderr, samples=samples,
+                             within_3se=abs(mean - expected) <= 3 * stderr + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -225,14 +229,13 @@ def box_experiment(n: int, scheme: ParityAdviceScheme,
                    algorithm_factory: Callable[[ParityPad, int], AlgorithmSpec],
                    trials: int, seed: int) -> BoxExperimentResult:
     """Per trial: take the advice class of a random string and a random window
-    of m + 1 coordinates (m = scheme.m), find two class members differing only
-    inside the window, and check the perturbation bound on the algorithm the
-    factory builds from the shared advice.  A parity class is a coset of a
-    kernel of dimension N - m, so it always holds 2^(N-m) strings; a class
-    below that bound raises RuntimeError."""
+    of m + 1 coordinates (m = scheme.m), take the two strings of the class that
+    AdvicePartition.collision builds inside the window, and check the
+    perturbation bound on the algorithm the factory builds from the shared
+    advice.  Each string is drawn as one int64, so N is capped at MAX_BOX_N."""
     m = scheme.m
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"box experiment enumerates classes; capped at N <= {ENUMERATION_CAP}")
+    if n > MAX_BOX_N:
+        raise ValueError(f"box draws each string as one int64; N is capped at {MAX_BOX_N}")
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < N")
     records = []
@@ -241,17 +244,12 @@ def box_experiment(n: int, scheme: ParityAdviceScheme,
         j = int(rng.integers(n))
         x0 = int(rng.integers(1 << n))
         part = scheme.partition(n, scheme.advice_string(int_to_bits(x0, n)))
-        if not part.meets_size_bound():
-            raise RuntimeError(f"advice class {part.alpha!r} holds {part.size} strings, "
-                               f"below the 2^(N-m) size bound")
         window = tuple(sorted(int(i) for i in rng.choice(n, size=m + 1, replace=False)))
-        x, y = collision_in_window(part.members, window, n)
+        x, y = part.collision(window)
         bits_x = int_to_bits(x, n)
-        pad = scheme.pad_for(bits_x)
-        alg = algorithm_factory(pad, j)
-        oracle_x = BitStringOracle(bits_x, forbidden=j)
-        oracle_y = BitStringOracle(int_to_bits(y, n), forbidden=j)
-        swap = verify_swapping(alg, oracle_x, oracle_y, j)
+        alg = algorithm_factory(scheme.pad_for(bits_x), j)
+        swap = verify_swapping(alg, BitStringOracle(bits_x, forbidden=j),
+                               BitStringOracle(int_to_bits(y, n), forbidden=j), j)
         eq_bound = alg.num_queries * math.sqrt((m + 1) / (n - 1))
         expectation = expectation_check(swap.totals, j, alg.num_queries, rng)
         records.append(BoxTrialRecord(

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import NORM_TOL
+from .util import NORM_TOL, int_array
 
 FORBIDDEN_MASS_TOL = 1e-12
 
@@ -147,12 +147,12 @@ def _check_power_of_two(n: int):
 class FunctionOracle:
     """An arbitrary map [N] -> [N], N = 2^n.  Queries XOR the n-bit value f(i)
     into the answer register.  Used for hybrid oracles that are constant on
-    part of the domain."""
+    part of the domain.  TypeError for a non-integer table entry."""
 
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.int64)
+        table = int_array(self.table)
         object.__setattr__(self, "table", table)
         n = len(table)
         _check_power_of_two(n)
@@ -184,13 +184,15 @@ class PermutationOracle(FunctionOracle):
 @dataclass(frozen=True)
 class BitStringOracle:
     """An N-bit string; queries XOR bit x_j into a two-dimensional answer
-    register.  An optional forbidden index rejects any query touching it."""
+    register.  An optional forbidden index rejects any query touching it.
+    Bits are integers or bools; TypeError for any other entry."""
 
     bits: np.ndarray
     forbidden: Optional[int] = None
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int64)
+        bits = np.asarray(self.bits)
+        bits = int_array(bits.astype(np.int64) if bits.dtype == bool else bits)
         object.__setattr__(self, "bits", bits)
         if len(bits) < 2:
             raise ValueError("need at least two positions")

@@ -1,10 +1,26 @@
-"""Small shared helpers: bit packing, exact log2 ceilings, seed derivation."""
+"""Small shared helpers: integer coercion, bit packing, exact log2 ceilings,
+seed derivation."""
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 NORM_TOL = 1e-9
+
+
+def int_array(values) -> np.ndarray:
+    """values as a 1-D int64 array, never truncated: TypeError for an element
+    that is not an integer, ValueError for one outside int64."""
+    if (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu"
+            and np.can_cast(values.dtype, np.int64)):
+        return values.astype(np.int64, copy=False)
+    items = [operator.index(v) for v in values]
+    try:
+        return np.array(items, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"element outside int64: {exc}") from exc
 
 
 def int_to_bits(value: int, n: int) -> np.ndarray:

@@ -157,6 +157,14 @@ class TestIterate:
         f = np.array([(x + 1) % 8 for x in range(8)])
         assert iterate(f, 2, 3) == 5
 
+    def test_non_integer_tables_raise(self):
+        with pytest.raises(TypeError):
+            iterate([1.9, 0.3], 0, 1)
+        with pytest.raises(TypeError):
+            hellman_build([1.9, 0.3], 1)
+        with pytest.raises(TypeError):
+            hellman_build(np.array([1.0, 0.0]), 1)
+
     def test_full_cycle_returns_start(self):
         rng = np.random.default_rng(5)
         f = rng.permutation(32)

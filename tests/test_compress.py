@@ -35,7 +35,7 @@ from advice_lab.compress import (
 )
 from advice_lab.qsim import AlgorithmSpec, BasisLayout, PermutationOracle
 from advice_lab.qsim import run as qrun
-from advice_lab.util import stream_rng
+from advice_lab.util import ceil_log2, stream_rng
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,7 @@ class TestSampleValidation:
         if which == "good_set":
             return good_set(self.F, self.FAMILY, R, self.PARAMS)
         enc = encode(self.F, self.FAMILY, [1, 6, 11], self.PARAMS)
-        return decode(enc, R, self.FAMILY, self.PARAMS)
+        return decode(enc, R, self.FAMILY)
 
     @pytest.mark.parametrize("which", ["encode", "decode", "good_set"])
     @pytest.mark.parametrize("R, match", [
@@ -440,7 +440,7 @@ class TestEncodeDecode:
         assert enc is not None
         assert enc.good_count == 2 and enc.r_size == 2
         assert (enc.fR_rank, enc.outer_rank, enc.fG_rank, enc.inner_rank) == (0, 0, 0, 0)
-        table, finals = decode(enc, [0, 1], family, self.params)
+        table, finals = decode(enc, [0, 1], family)
         assert np.array_equal(table, np.arange(4))
         assert sorted(finals) == [0, 1]
 
@@ -476,7 +476,7 @@ class TestEncodeDecode:
             enc = encode(f, family, R, self.params)
             if enc is None:
                 continue
-            assert np.array_equal(decode(enc, R, family, self.params)[0], f.table)
+            assert np.array_equal(decode(enc, R, family)[0], f.table)
             exact += 1
         assert exact >= 32  # 0.8 of the draws
 
@@ -496,7 +496,7 @@ class TestEncodeDecode:
             saw_success += 1
             if enc.good_count < enc.r_size:
                 saw_leftover += 1
-            assert np.array_equal(decode(enc, R, family, params)[0], f.table)
+            assert np.array_equal(decode(enc, R, family)[0], f.table)
         assert saw_success > 10
         assert saw_leftover > 0
 
@@ -505,7 +505,7 @@ class TestEncodeDecode:
         family = LookupInversion(verify=False)
         enc = encode(f, family, [1, 2], self.params)
         with pytest.raises(CorruptEncodingError):
-            decode(enc, [1, 2, 3], family, self.params)
+            decode(enc, [1, 2, 3], family)
 
     def test_decode_rejects_corrupt_rank(self):
         f = PermutationOracle(np.arange(8))
@@ -514,14 +514,14 @@ class TestEncodeDecode:
         bad = Encoding(enc.num_elements, enc.advice, enc.good_count, enc.r_size,
                        math.comb(8, 2), enc.outer_rank, enc.fG_rank, enc.inner_rank)
         with pytest.raises(CorruptEncodingError):
-            decode(bad, [1, 2], family, self.params)
+            decode(bad, [1, 2], family)
 
     def test_ambiguous_output_rejected(self):
         f = PermutationOracle(np.arange(8))
         helper = LookupInversion(verify=False)
         enc = encode(f, helper, [1, 2], self.params)
         with pytest.raises(AmbiguousDecodeError) as failure:
-            decode(enc, [1, 2], toy_uniform_family(), self.params)
+            decode(enc, [1, 2], toy_uniform_family())
         # every stored image was run before the first one was checked
         assert sorted(failure.value.finals) == [1, 2]
 
@@ -531,7 +531,7 @@ class TestEncodeDecode:
         helper = LookupInversion(verify=False)
         enc = encode(f, helper, [1, 2], self.params)
         with pytest.raises(DecodeFailure) as failure:
-            decode(enc, [1, 2], toy_constant_family(6), self.params)
+            decode(enc, [1, 2], toy_constant_family(6))
         assert sorted(failure.value.finals) == [1, 2]
 
     def test_corrupt_inner_rank_raises_before_any_run(self, monkeypatch):
@@ -546,7 +546,7 @@ class TestEncodeDecode:
 
         monkeypatch.setattr(compress_mod, "run", no_run)
         with pytest.raises(CorruptEncodingError):
-            decode(bad, [1, 2], family, self.params)
+            decode(bad, [1, 2], family)
 
     @pytest.mark.parametrize("family", [LookupInversion(verify=True), HellmanInversion(s=1),
                                         HellmanInversion(s=2), GroverInversion()],
@@ -564,7 +564,7 @@ class TestEncodeDecode:
                 continue
             encoded += 1
             try:
-                finals = decode(enc, R, family, params)[1]
+                finals = decode(enc, R, family)[1]
             except DecodeFailure as failure:
                 finals = failure.finals
             known = f.table.copy()
@@ -637,6 +637,29 @@ class TestCounting:
         rep = counting_check(x_bits, enc_bits, c=0.8)
         assert rep.holds
         assert rep.slack_bits == pytest.approx(5.0 - math.log2(0.8))
+
+
+class TestComponentBits:
+    def _encoding(self):
+        return Encoding(num_elements=64, advice="0110", good_count=2, r_size=5,
+                        fR_rank=0, outer_rank=0, fG_rank=0, inner_rank=0)
+
+    def test_factorials_computed_once_per_encoding(self, monkeypatch):
+        enc = self._encoding()
+        calls = []
+        factorial = math.factorial
+        monkeypatch.setattr(compress_mod.math, "factorial", lambda k: calls.append(k) or factorial(k))
+        first = enc.component_bits()
+        for _ in range(4):
+            assert enc.component_bits() == first
+            assert enc.logical_bits == sum(first.values())
+        assert sorted(calls) == [3, 59]  # (|R| - |G|)! and (N - |R|)!, once each
+
+    def test_returns_a_fresh_dict(self):
+        enc = self._encoding()
+        enc.component_bits()["outer"] = -1
+        assert enc.component_bits()["outer"] == ceil_log2(math.factorial(59))
+        assert enc == self._encoding()
 
 
 class TestEnvelope:

@@ -182,7 +182,7 @@ class TestCompressTrial:
         clone = compress.encoding_from_json(compress.encoding_to_json(enc), 16)
         assert clone.runs == {}
         assert clone == enc
-        decoded, finals = compress.decode(clone, self.R, self.FAMILY, self.PARAMS)
+        decoded, finals = compress.decode(clone, self.R, self.FAMILY)
         assert np.array_equal(decoded, self.F.table)
         assert sorted(finals) == sorted(int(self.F.table[x]) for x in enc.runs)
 
@@ -243,6 +243,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_hellman_too_small_exit_two(self, n, capsys):
+        assert main(["hellman", "--n", n, "--s", "1", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_box_at_the_int64_limit(self, tmp_path):
+        out = tmp_path / "box.json"
+        code = main(["box", "--n", "63", "--m", "2", "--trials", "20", "--seed", "0",
+                     "--out", str(out), "--format", "json"])
+        assert code == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 20 and all(r["swap_holds"] for r in rows)
+        assert all(r["class_size"] == 2 ** 61 for r in rows)
+
+    def test_box_past_the_int64_limit_exit_two(self, capsys):
+        assert main(["box", "--n", "64", "--m", "2", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capped at 63" in captured.err
 
     @pytest.mark.parametrize("strides", [",", "4,,8", "4,4"], ids=["empty", "hole", "repeat"])
     def test_bad_stride_list_exit_two(self, strides, capsys):

@@ -1,12 +1,15 @@
 """Collision finder, perturbation-bound verifiers, box experiment."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from advice_lab.adapters import parity_box_algorithm
+from advice_lab.advice import group_boundaries
 from advice_lab.hybrid import (
+    MAX_BOX_N,
     ParityAdviceScheme,
     box_experiment,
     collision_in_window,
@@ -24,7 +27,6 @@ from advice_lab.qsim import (
     grover_spec,
     run,
 )
-from advice_lab.util import int_to_bits
 
 
 def brute_force_pair(members, window, n):
@@ -36,6 +38,29 @@ def brute_force_pair(members, window, n):
             if (a ^ b) & outside == 0:
                 return a, b
     return None
+
+
+def enumerate_class(n, m, alpha):
+    """Reference class: scan all 2^n strings for those whose group parities
+    spell alpha, returned in increasing order."""
+    xs = np.arange(1 << n, dtype=np.uint64)
+    keys = np.zeros(1 << n, dtype=np.uint64)
+    bounds = [int(b) for b in group_boundaries(n, m)] + [n]
+    for g in range(m):
+        mask = np.uint64(((1 << bounds[g + 1]) - 1) ^ ((1 << bounds[g]) - 1))
+        parity = np.bitwise_count(xs & mask).astype(np.uint64) & np.uint64(1)
+        keys |= parity << np.uint64(g)
+    alpha_key = sum(int(b) << g for g, b in enumerate(alpha))
+    return np.flatnonzero(keys == alpha_key)
+
+
+def advice_of(scheme, x, n):
+    """Advice string of an n-bit int of any size."""
+    return scheme.advice_string([(x >> i) & 1 for i in range(n)])
+
+
+def agree_outside(x, y, window, n):
+    return (x ^ y) & (((1 << n) - 1) ^ sum(1 << i for i in window)) == 0
 
 
 class TestCollisionFinder:
@@ -81,9 +106,10 @@ class TestParityPartitions:
         n = 8
         part = scheme.partition(n, "10")
         assert part.size == 2 ** (n - 2)
-        assert part.meets_size_bound()
-        for x in part.members[:: max(1, part.size // 16)]:
-            assert scheme.advice_string(int_to_bits(int(x), n)) == "10"
+        for window in itertools.combinations(range(n), 3):
+            x, y = part.collision(window)
+            assert x < y and agree_outside(x, y, window, n)
+            assert advice_of(scheme, x, n) == advice_of(scheme, y, n) == "10"
 
     def test_partitions_cover_everything(self):
         scheme = ParityAdviceScheme(3)
@@ -94,9 +120,45 @@ class TestParityPartitions:
             total += scheme.partition(n, alpha).size
         assert total == 2 ** n
 
-    def test_enumeration_cap(self):
-        with pytest.raises(ValueError):
-            ParityAdviceScheme(2).partition(13, "00")
+    def test_coset_pair_matches_enumeration(self):
+        cases = 0
+        for n in range(2, 9):
+            for m in range(1, n):
+                scheme = ParityAdviceScheme(m)
+                for key in range(1 << m):
+                    alpha = format(key, f"0{m}b")
+                    part = scheme.partition(n, alpha)
+                    members = enumerate_class(n, m, alpha)
+                    assert part.size == len(members)
+                    for window in itertools.combinations(range(n), m + 1):
+                        assert part.collision(window) == collision_in_window(members, window, n)
+                        cases += 1
+        assert cases == 4880
+
+    def test_classes_past_enumeration_range(self):
+        rng = np.random.default_rng(11)
+        n, m = 4096, 4
+        scheme = ParityAdviceScheme(m)
+        for _ in range(5):
+            alpha = "".join(rng.choice(["0", "1"], size=m))
+            part = scheme.partition(n, alpha)
+            assert part.size == 2 ** (n - m)
+            window = sorted(int(i) for i in rng.choice(n, size=m + 1, replace=False))
+            x, y = part.collision(window)
+            assert x < y and agree_outside(x, y, window, n)
+            assert advice_of(scheme, x, n) == advice_of(scheme, y, n) == alpha
+
+    @pytest.mark.parametrize("alpha", ["1", "101", "12", "ab", ""])
+    def test_rejects_malformed_advice(self, alpha):
+        with pytest.raises(ValueError, match="characters of 0/1"):
+            ParityAdviceScheme(2).partition(8, alpha)
+
+    def test_collision_rejects_bad_windows(self):
+        part = ParityAdviceScheme(2).partition(8, "01")
+        with pytest.raises(ValueError, match="out of range"):
+            part.collision([0, 1, 8])
+        with pytest.raises(ValueError, match="no collision"):
+            part.collision([0, 4])  # one index in each group
 
 
 class TestVerifySwapping:
@@ -224,8 +286,18 @@ class TestBoxExperiment:
             assert rec.expectation.mean == 0.0
         assert result.all_swaps_hold
 
+    @pytest.mark.parametrize("n", [16, MAX_BOX_N])
+    def test_past_enumeration_all_hold(self, n):
+        scheme = ParityAdviceScheme(2)
+        result = box_experiment(n, scheme, parity_box_algorithm, trials=6, seed=n)
+        assert result.all_swaps_hold
+        for rec in result.records:
+            assert rec.class_size == 2 ** (n - 2)
+            assert rec.x != rec.y and agree_outside(rec.x, rec.y, rec.window, n)
+            assert advice_of(scheme, rec.x, n) == advice_of(scheme, rec.y, n) == rec.alpha
+
     def test_size_cap_and_bad_m(self):
-        with pytest.raises(ValueError):
-            box_experiment(16, ParityAdviceScheme(2), parity_box_algorithm, 1, 0)
+        with pytest.raises(ValueError, match="63"):
+            box_experiment(MAX_BOX_N + 1, ParityAdviceScheme(2), parity_box_algorithm, 1, 0)
         with pytest.raises(ValueError):
             box_experiment(8, ParityAdviceScheme(8), parity_box_algorithm, 1, 0)

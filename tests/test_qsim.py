@@ -109,6 +109,20 @@ class TestLayoutAndState:
         with pytest.raises(ValueError):
             BitStringOracle(np.array([0, 1, 1]), forbidden=3)
 
+    @pytest.mark.parametrize("make", [
+        lambda: PermutationOracle(np.array([1.7, 0.2])),
+        lambda: FunctionOracle([0.0, 1.0]),
+        lambda: BitStringOracle([0.5, 1.0]),
+        lambda: BitStringOracle(np.array([0.0, 1.0, 1.0])),
+    ], ids=["permutation", "function", "bits-list", "bits-float-array"])
+    def test_oracles_reject_non_integer_entries(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_bit_strings_accept_bools(self):
+        assert BitStringOracle(np.array([True, False, True])).bits.tolist() == [1, 0, 1]
+        assert BitStringOracle([False, True]).bits.tolist() == [0, 1]
+
     def test_permutation_oracle_is_function_oracle(self):
         oracle = PermutationOracle(np.array([2, 0, 3, 1]))
         assert isinstance(oracle, FunctionOracle)

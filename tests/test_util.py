@@ -3,7 +3,33 @@
 import numpy as np
 import pytest
 
-from advice_lab.util import bits_to_int, bitstring, int_to_bits, pack_fields, parse_bitstring
+from advice_lab.util import (
+    bits_to_int,
+    bitstring,
+    int_array,
+    int_to_bits,
+    pack_fields,
+    parse_bitstring,
+)
+
+
+class TestIntArray:
+    @pytest.mark.parametrize("values", [[3, 1, 2], (3, 1, 2), np.array([3, 1, 2], dtype=np.uint8),
+                                        np.array([3, 1, 2], dtype=np.int32)])
+    def test_integers_pass_as_int64(self, values):
+        out = int_array(values)
+        assert out.dtype == np.int64 and out.tolist() == [3, 1, 2]
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0], np.array([0.5, 1.0]), ["1"], [0, None],
+                                        np.array([True, False]), np.zeros((2, 2), dtype=int)])
+    def test_non_integers_raise_type_error(self, values):
+        with pytest.raises(TypeError):
+            int_array(values)
+
+    @pytest.mark.parametrize("values", [[1 << 63], np.array([1 << 63], dtype=np.uint64)])
+    def test_values_outside_int64_raise_value_error(self, values):
+        with pytest.raises(ValueError, match="outside int64"):
+            int_array(values)
 
 
 class TestIntToBits:
