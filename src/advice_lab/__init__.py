@@ -27,6 +27,7 @@ from .qsim import (
     measurement_distribution,
     query_magnitudes,
     run,
+    top_two,
     tv_distance,
 )
 from .advice import (

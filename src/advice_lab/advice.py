@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .qsim import BitStringOracle, PermutationOracle
-from .util import bits_to_int, bitstring, ceil_log2, int_array, pack_fields, parse_bitstring
+from .util import bit_array, bits_to_int, bitstring, ceil_log2, int_array, pack_fields, parse_bitstring
 
 
 class CorruptTableError(RuntimeError):
@@ -127,13 +127,15 @@ def parity_answer(j: int, pad: ParityPad, oracle) -> tuple[int, int]:
 
 def parity_answer_sweep(strings: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch audit of parity_answer: answers and read counts for every index of
-    every row of ``strings`` (shape (batch, N)).
+    every row of ``strings`` (shape (batch, N)), whose entries are read by
+    ``util.bit_array``.
 
     Global prefix and suffix XOR accumulations, cut at each column's group
     bounds, give each excluded-index parity without that column ever flowing
     into its own answer.
     """
-    X = np.asarray(strings, dtype=np.uint8)
+    X = np.asarray(strings)
+    X = bit_array(X.reshape(-1)).astype(np.uint8).reshape(X.shape)
     batch, n = X.shape
     starts = group_boundaries(n, m)
     ends = np.append(starts[1:], n)
@@ -219,9 +221,10 @@ class HellmanTable:
     @classmethod
     def from_json(cls, payload: str) -> "HellmanTable":
         """Load a table, raising ValueError on a missing field, a non-integer
-        value, n < 1, s outside [1, 2^n], a cycle with no anchors, an element
-        outside [0, 2^n), a stride below 1 or two pairs with the same right
-        element."""
+        value, n outside [1, 62] (``to_bits`` writes the pair count in n + 1
+        bits, and ``util.pack_fields`` at most 63), s outside [1, 2^n], a
+        cycle with no anchors, an element outside [0, 2^n), a stride below 1
+        or two pairs with the same right element."""
         doc = json.loads(payload)
         try:
             n, s = doc["n"], doc["s"]
@@ -230,11 +233,11 @@ class HellmanTable:
             raise ValueError(f"anchor table field missing: {exc!r}") from exc
         if any(type(v) is not int for v in (n, s, *(v for c in cycles for pair in c for v in pair))):
             raise ValueError("anchor table values must be integers")
-        if n < 1:
-            raise ValueError("n must be at least 1")
+        if not 1 <= n <= 62:
+            raise ValueError("n outside [1, 62]")
 
-        def below_size(v: int) -> bool:  # 0 <= v < 2^n, without building 2^n
-            return v >= 0 and v.bit_length() <= n
+        def below_size(v: int) -> bool:  # 0 <= v < 2^n
+            return 0 <= v < 1 << n
 
         if not (s >= 1 and below_size(s - 1)):
             raise ValueError("s outside [1, 2^n]")
@@ -388,7 +391,7 @@ def measure_tradeoff(f, s: int) -> dict:
 def _as_bits(x) -> np.ndarray:
     if isinstance(x, BitStringOracle):
         return x.bits
-    return np.asarray(x)
+    return bit_array(x)
 
 
 def _as_table(f) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qsim import FunctionOracle, PermutationOracle, State, measurement_distribution, run
+from .qsim import FunctionOracle, PermutationOracle, State, run, top_two
 from .util import bitstring, ceil_log2, int_array, parse_bitstring
 
 ARGMAX_TOL = 1e-9
@@ -267,19 +267,25 @@ def prepare(f: PermutationOracle, family):
 
 def _inverts(alg, final: State, x: int) -> bool:
     """The run ending in ``final`` outputs x with probability at least
-    SUCCESS_THRESHOLD, read exactly off the final state."""
-    return measurement_distribution(final, alg.output_register)[x] >= SUCCESS_THRESHOLD - 1e-12
+    SUCCESS_THRESHOLD, read exactly off the final state.  That probability
+    exceeds 1/2, so only the most likely outcome can reach it."""
+    outcome, p, _ = top_two(final, alg.output_register)
+    return outcome == x and p >= SUCCESS_THRESHOLD - 1e-12
+
+
+def _inverted_runs(f: PermutationOracle, alg, xs):
+    """Run alg on the image of each x of xs against f, in order, and yield
+    (x, final state, trace) for each x the run inverts."""
+    for x in map(int, xs):
+        final, trace = run(alg, f, int(f.table[x]))
+        if _inverts(alg, final, x):
+            yield x, final, trace
 
 
 def inversion_set(f: PermutationOracle, family) -> np.ndarray:
     """Elements x whose image the algorithm sends back to x (``_inverts``)."""
     _, alg = prepare(f, family)
-    hits = []
-    for x in range(f.num_positions):
-        final, _ = run(alg, f, int(f.table[x]))
-        if _inverts(alg, final, x):
-            hits.append(x)
-    return np.array(hits, dtype=np.int64)
+    return np.array([x for x, _, _ in _inverted_runs(f, alg, range(f.num_positions))], dtype=np.int64)
 
 
 def _good_elements(f: PermutationOracle, alg, R: np.ndarray,
@@ -287,16 +293,8 @@ def _good_elements(f: PermutationOracle, alg, R: np.ndarray,
     """Each good element of R, in R's order, mapped to the final state of its
     run against f."""
     threshold = params.c / alg.num_queries if alg.num_queries > 0 else math.inf
-    good = {}
-    for x in R:
-        y = int(f.table[x])
-        final, trace = run(alg, f, y)
-        if not _inverts(alg, final, x):
-            continue
-        stray_mass = float(trace.totals[R].sum() - trace.totals[x])
-        if stray_mass <= threshold:
-            good[int(x)] = final
-    return good
+    return {x: final for x, final, trace in _inverted_runs(f, alg, R)
+            if trace.totals[R].sum() - trace.totals[x] <= threshold}
 
 
 def _sorted_sample(R, n: int) -> np.ndarray:
@@ -413,15 +411,14 @@ def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Option
         return None
     good = np.array(list(runs), dtype=np.int64)
 
+    # R, fR and fG are sorted, so each complement deletes positions.
     fR = np.sort(f.table[R])
-    outside = np.setdiff1d(np.arange(n), R, assume_unique=True)
-    outside_images = np.setdiff1d(np.arange(n), fR, assume_unique=True)
-    outer = np.searchsorted(outside_images, f.table[outside])
+    outside_images = np.delete(np.arange(n), fR)
+    outer = np.searchsorted(outside_images, f.table[np.delete(np.arange(n), R)])
 
-    fG = np.sort(f.table[good])
-    leftover = np.setdiff1d(R, good, assume_unique=True)
-    leftover_images = np.setdiff1d(fR, fG, assume_unique=True)
-    inner = np.searchsorted(leftover_images, f.table[leftover])
+    fG_at = np.searchsorted(fR, np.sort(f.table[good]))
+    leftover = np.delete(R, np.searchsorted(R, good))
+    inner = np.searchsorted(np.delete(fR, fG_at), f.table[leftover])
 
     return Encoding(
         num_elements=n,
@@ -430,7 +427,7 @@ def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Option
         r_size=len(R),
         fR_rank=rank_set(fR),
         outer_rank=rank_perm(outer),
-        fG_rank=rank_set(np.searchsorted(fR, fG)),
+        fG_rank=rank_set(fG_at),
         inner_rank=rank_perm(inner),
         runs=runs,
     )
@@ -439,8 +436,8 @@ def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Option
 def decode(enc: Encoding, R, family) -> tuple[np.ndarray, dict[int, State]]:
     """Reconstruct the permutation and return it with the runs that did it.
 
-    Every rank is unranked first, so a CorruptEncodingError comes before any
-    run.  Then each stored image y is run once against the hybrid oracle
+    Ranks and advice are read first, so a CorruptEncodingError comes before
+    any run.  Then each stored image y is run once against the hybrid oracle
     ``build_h(table, R, y)``, ``table`` being the mapping off R with -1 on R;
     ``finals`` maps y to that run's final state.  Each image's preimage is the
     run's output when it is an unambiguous winner and a fresh element of R;
@@ -453,32 +450,27 @@ def decode(enc: Encoding, R, family) -> tuple[np.ndarray, dict[int, State]]:
 
     fR = unrank_set(enc.fR_rank, n, r)
     outer = unrank_perm(enc.outer_rank, n - r)
-    fG = fR[unrank_set(enc.fG_rank, r, g)]
+    fG_at = unrank_set(enc.fG_rank, r, g)
     inner = unrank_perm(enc.inner_rank, r - g)
+    try:
+        alg = family.spec(enc.advice, n)
+    except ValueError as exc:
+        raise CorruptEncodingError(f"advice does not parse: {exc}") from exc
 
-    outside = np.setdiff1d(np.arange(n), R, assume_unique=True)
-    outside_images = np.setdiff1d(np.arange(n), fR, assume_unique=True)
     table = np.full(n, -1, dtype=np.int64)
-    table[outside] = outside_images[outer]
+    table[np.delete(np.arange(n), R)] = np.delete(np.arange(n), fR)[outer]
 
-    alg = family.spec(enc.advice, n)
-    finals = {y: run(alg, build_h(table, R, y), y)[0] for y in map(int, fG)}
-    recovered = []
+    finals = {y: run(alg, build_h(table, R, y), y)[0] for y in map(int, fR[fG_at])}
     for y, final in finals.items():
-        dist = measurement_distribution(final, alg.output_register)
-        top_two = np.partition(dist, -2)[-2:]
-        if top_two[1] - top_two[0] <= ARGMAX_TOL:
+        x, p, runner_up = top_two(final, alg.output_register)
+        if p - runner_up <= ARGMAX_TOL:
             raise AmbiguousDecodeError(
-                f"no clear inverse for image {y}: top probabilities {top_two}", finals)
-        x = int(np.argmax(dist))
+                f"no clear inverse for image {y}: top probabilities {runner_up}, {p}", finals)
         if table[x] != -1:  # off R, or recovered already
             raise DecodeFailure(f"simulated inverse {x} of image {y} is not fresh in R", finals)
         table[x] = y
-        recovered.append(x)
 
-    leftover = np.setdiff1d(R, np.array(recovered, dtype=np.int64))
-    leftover_images = np.setdiff1d(fR, fG, assume_unique=True)
-    table[leftover] = leftover_images[inner]
+    table[R[table[R] == -1]] = np.delete(fR, fG_at)[inner]
 
     if not np.array_equal(np.sort(table), np.arange(n)):
         raise DecodeFailure("reconstruction is not a permutation", finals)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import NORM_TOL, int_array
+from .util import NORM_TOL, bit_array, int_array
 
 FORBIDDEN_MASS_TOL = 1e-12
 
@@ -185,19 +185,16 @@ class PermutationOracle(FunctionOracle):
 class BitStringOracle:
     """An N-bit string; queries XOR bit x_j into a two-dimensional answer
     register.  An optional forbidden index rejects any query touching it.
-    Bits are integers or bools; TypeError for any other entry."""
+    Bits are read by ``util.bit_array``."""
 
     bits: np.ndarray
     forbidden: Optional[int] = None
 
     def __post_init__(self):
-        bits = np.asarray(self.bits)
-        bits = int_array(bits.astype(np.int64) if bits.dtype == bool else bits)
+        bits = bit_array(self.bits)
         object.__setattr__(self, "bits", bits)
         if len(bits) < 2:
             raise ValueError("need at least two positions")
-        if not np.isin(bits, (0, 1)).all():
-            raise ValueError("bits must be 0/1")
         if self.forbidden is not None and not 0 <= self.forbidden < len(bits):
             raise ValueError("forbidden index out of range")
 
@@ -386,6 +383,17 @@ def measurement_distribution(state: State, register: str = "position") -> np.nda
     return dist
 
 
+def top_two(state: State, register: str = "position") -> tuple[int, float, float]:
+    """A register's most likely outcome, its probability and the runner-up's
+    (0.0 for a one-value register); a basis state reads its coordinates."""
+    if isinstance(state, BasisState):
+        return state.coords[state.layout.axis(register)], 1.0, 0.0
+    dist = measurement_distribution(state, register)
+    outcome = int(np.argmax(dist))
+    runner_up = float(np.partition(dist, -2)[-2]) if len(dist) > 1 else 0.0
+    return outcome, float(dist[outcome]), runner_up
+
+
 def euclidean_distance(a: State, b: State) -> float:
     """Norm of a - b; two basis states with phase 1 are 0 or sqrt(2) apart."""
     if a.layout != b.layout:
@@ -462,6 +470,5 @@ def grover_invert(f: PermutationOracle, y: int, iterations: Optional[int] = None
         iterations = default_grover_iterations(n)
     alg = grover_spec(n, iterations)
     final, trace = run(alg, f, y)
-    dist = measurement_distribution(final, "position")
-    candidate = int(np.argmax(dist))
-    return candidate, float(dist[candidate]), trace
+    candidate, p, _ = top_two(final)
+    return candidate, p, trace

@@ -1,5 +1,5 @@
-"""Small shared helpers: integer coercion, bit packing, exact log2 ceilings,
-seed derivation."""
+"""Small shared helpers: integer and bit coercion, bit packing, exact log2
+ceilings, seed derivation."""
 
 from __future__ import annotations
 
@@ -21,6 +21,17 @@ def int_array(values) -> np.ndarray:
         return np.array(items, dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"element outside int64: {exc}") from exc
+
+
+def bit_array(values) -> np.ndarray:
+    """values as a 1-D int64 array of 0/1 entries, bools read as 0/1:
+    TypeError for an element that is not an integer, ValueError for one other
+    than 0 or 1."""
+    values = np.asarray(values)
+    bits = int_array(values.astype(np.int64) if values.dtype == bool else values)
+    if np.any(bits & ~1):
+        raise ValueError("bits must be 0/1")
+    return bits
 
 
 def int_to_bits(value: int, n: int) -> np.ndarray:

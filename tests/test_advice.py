@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from advice_lab.advice import (
     CorruptTableError,
@@ -21,6 +23,64 @@ from advice_lab.advice import (
     parse_hellman_bits,
 )
 from advice_lab.util import ceil_log2, int_to_bits
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+# JSON's own punctuation, digits, bits, a letter, a non-ASCII letter and a lone surrogate
+CHARACTERS = st.sampled_from('{}[]",:-.e0129a\u00e9\ud800')
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(CHARACTERS, max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(CHARACTERS, max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _nodes(doc, path=()):
+    """Every path into a parsed JSON document, the root's () first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def mutated_payloads(draw, payload: str) -> str:
+    """payload with one change: a node replaced by a random JSON value, a
+    node deleted, the text cut short, or one character of it replaced."""
+    kind = draw(st.sampled_from(["replace", "delete", "truncate", "character"]))
+    if kind in ("truncate", "character"):
+        at = draw(st.integers(0, len(payload) - 1))
+        tail = draw(CHARACTERS) + payload[at + 1:] if kind == "character" else ""
+        return payload[:at] + tail
+    doc = json.loads(payload)
+    paths = list(_nodes(doc))[kind == "delete":]
+    path = draw(st.sampled_from(paths))
+    if not path:
+        return json.dumps(draw(JSON_VALUES))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    if kind == "delete":
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@st.composite
+def parity_pads(draw) -> ParityPad:
+    n = draw(st.integers(2, 24))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return parity_preprocess(bits, draw(st.integers(1, n - 1)))
+
+
+@st.composite
+def anchor_tables(draw) -> HellmanTable:
+    n_elems = 1 << draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(n_elems)))
+    return hellman_build(perm, draw(st.integers(1, n_elems)))
 
 
 def to_bits_reference(table: HellmanTable) -> str:
@@ -141,12 +201,78 @@ class TestParityPad:
         with pytest.raises(ValueError):
             ParityPad.from_json(payload, 8)
 
+    @pytest.mark.parametrize("call", [
+        lambda: parity_preprocess([2, 3, 0, 1], 1),  # 2 XOR 3 XOR 1 would give parity 0
+        lambda: parity_answer(0, parity_preprocess([0, 1, 0, 1], 2), [0, 3, 0, 1]),
+        lambda: parity_answer_sweep(np.array([[256, 1, 0, 1]]), 2),  # 256 would wrap to 0
+        lambda: parity_answer_sweep(np.array([[0, 1], [-1, 0]]), 1),
+    ], ids=["preprocess", "answer", "sweep-wrap", "sweep-negative"])
+    def test_non_bits_raise_value_error(self, call):
+        with pytest.raises(ValueError, match="0/1"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: parity_preprocess([0.0, 1.0, 1.0, 0.0], 2),
+        lambda: parity_answer(0, parity_preprocess([0, 1, 0, 1], 2), [0.0, 1.0, 0.0, 1.0]),
+        lambda: parity_answer_sweep(np.array([[0.0, 1.0, 0.0, 1.0]]), 2),
+    ], ids=["preprocess", "answer", "sweep"])
+    def test_float_bits_raise_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_bool_bits_read_as_integers(self):
+        bits = np.array([True, False, True, True])
+        pad = parity_preprocess(bits, 2)
+        assert pad.parities.tolist() == [1, 0]
+        assert parity_answer(3, pad, bits) == (1, 1)
+        answers, _ = parity_answer_sweep(bits[None, :], 2)
+        assert answers.tolist() == [[1, 0, 1, 1]]
+
     def test_answer_index_out_of_range(self):
         bits = np.zeros(8, dtype=int)
         pad = parity_preprocess(bits, 2)
         for j in (-1, 8):
             with pytest.raises(ValueError):
                 parity_answer(j, pad, bits)
+
+
+class TestJsonProperties:
+    @PROPERTY_SETTINGS
+    @given(parity_pads())
+    def test_pad_roundtrip(self, pad):
+        clone = ParityPad.from_json(pad.to_json(), pad.num_positions)
+        assert np.array_equal(clone.boundaries, pad.boundaries)
+        assert np.array_equal(clone.parities, pad.parities)
+        assert clone.to_json() == pad.to_json()
+
+    @PROPERTY_SETTINGS
+    @given(anchor_tables())
+    def test_anchor_table_roundtrip(self, table):
+        clone = HellmanTable.from_json(table.to_json())
+        assert clone == table and clone.to_bits() == table.to_bits()
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_mutated_pad_loads_or_raises_value_error(self, data):
+        pad = data.draw(parity_pads())
+        payload = data.draw(mutated_payloads(pad.to_json()))
+        try:
+            clone = ParityPad.from_json(payload, pad.num_positions)
+        except ValueError:
+            return
+        assert ParityPad.from_json(clone.to_json(), pad.num_positions).to_json() == clone.to_json()
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_mutated_anchor_table_loads_or_raises_value_error(self, data):
+        table = data.draw(anchor_tables())
+        payload = data.draw(mutated_payloads(table.to_json()))
+        try:
+            clone = HellmanTable.from_json(payload)
+        except ValueError:
+            return
+        assert HellmanTable.from_json(clone.to_json()) == clone
+        clone.to_bits()  # every loaded table can write its advice
 
 
 class TestIterate:
@@ -320,6 +446,9 @@ class TestHellmanTable:
     BAD_TABLES = {
         "element_out_of_range": {"n": 3, "s": 2, "cycles": [{"anchors": [[9, 12, 2]]}]},
         "n_below_one": {"n": 0, "s": 1, "cycles": [{"anchors": [[0, 0, 1]]}]},
+        # its pair count would need a field of n + 1 = 64 bits
+        "n_above_62": {"n": 63, "s": 1, "cycles": [{"anchors": [[0, 0, 1]]}]},
+        "n_huge": {"n": 2 ** 70, "s": 1, "cycles": [{"anchors": [[0, 0, 1]]}]},
         "s_zero": {"n": 3, "s": 0, "cycles": [{"anchors": [[0, 2, 2]]}]},
         "s_above_domain": {"n": 3, "s": 9, "cycles": [{"anchors": [[0, 2, 2]]}]},
         "cycle_without_anchors": {"n": 3, "s": 2, "cycles": [{"anchors": []}]},
@@ -340,6 +469,11 @@ class TestHellmanTable:
     def test_from_json_rejects(self, case):
         with pytest.raises(ValueError):
             HellmanTable.from_json(json.dumps(self.BAD_TABLES[case]))
+
+    def test_widest_loadable_table_writes_its_bits(self):
+        doc = {"n": 62, "s": 1, "cycles": [{"anchors": [[0, (1 << 62) - 1, 1]]}]}
+        table = HellmanTable.from_json(json.dumps(doc))
+        assert len(table.to_bits()) == 63 + 2 * 62
 
     def test_from_json_keeps_valid_tables(self):
         for n_elems, s in ((2, 1), (2, 2), (64, 64), (128, 2)):

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from advice_lab import compress as compress_mod
@@ -548,6 +548,23 @@ class TestEncodeDecode:
         with pytest.raises(CorruptEncodingError):
             decode(bad, [1, 2], family)
 
+    def test_unparseable_advice_raises_corrupt_encoding_before_any_run(self, monkeypatch):
+        f = PermutationOracle(np.random.default_rng(3).permutation(64))
+        family = HellmanInversion(2)
+        R = sample_R(64, 0.9, 6, 0)
+        assert R.tolist() == [3, 11]
+        enc = encode(f, family, R, CompressionParams(0.9, 0.001))
+        bad = dataclasses.replace(enc, advice=flip_bit(enc.advice, 0))
+        with pytest.raises(ValueError, match="anchor record cut short"):
+            family.spec(bad.advice, 64)
+
+        def no_run(*_args):
+            raise AssertionError("decode ran the algorithm before parsing the advice")
+
+        monkeypatch.setattr(compress_mod, "run", no_run)
+        with pytest.raises(CorruptEncodingError, match="anchor record cut short"):
+            decode(bad, R, family)
+
     @pytest.mark.parametrize("family", [LookupInversion(verify=True), HellmanInversion(s=1),
                                         HellmanInversion(s=2), GroverInversion()],
                              ids=lambda family: family.name)
@@ -660,6 +677,54 @@ class TestComponentBits:
         enc.component_bits()["outer"] = -1
         assert enc.component_bits()["outer"] == ceil_log2(math.factorial(59))
         assert enc == self._encoding()
+
+
+def flip_bit(advice: str, i: int) -> str:
+    return advice[:i] + "10"[int(advice[i])] + advice[i + 1:]
+
+
+@st.composite
+def advice_mutations(draw):
+    """An encoding at N=16 and R, and the same encoding with one advice bit
+    flipped or the advice cut short, passed through the JSON envelope."""
+    family = draw(st.sampled_from([HellmanInversion(1), HellmanInversion(2), LookupInversion()]))
+    seed = draw(st.integers(0, 2 ** 16))
+    f = PermutationOracle(np.random.default_rng(seed).permutation(16))
+    R = [int(x) for x in draw(st.permutations(range(16)))[:draw(st.integers(1, 4))]]
+    enc = encode(f, family, R, CompressionParams(0.9, 0.001))
+    assume(enc is not None)
+    i = draw(st.integers(0, enc.advice_bits - 1))
+    advice = flip_bit(enc.advice, i) if draw(st.booleans()) else enc.advice[:i]
+    payload = encoding_to_json(dataclasses.replace(enc, advice=advice))
+    return f, family, R, encoding_from_json(payload, 16)
+
+
+class TestCorruptAdvice:
+    @PROPERTY_SETTINGS
+    @given(advice_mutations())
+    def test_mutated_advice_decodes_to_a_permutation_or_raises_a_codec_error(self, case):
+        # The codec stores no redundancy, so a mutation may also decode to a
+        # permutation other than f (see the next test); it never escapes as
+        # any other error.
+        f, family, R, enc = case
+        try:
+            table, _ = decode(enc, R, family)
+        except (CorruptEncodingError, DecodeFailure):
+            return
+        assert np.array_equal(np.sort(table), np.arange(16))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="decode does not check that its table re-encodes to the envelope")
+    def test_flipped_anchor_bit_never_decodes_to_a_wrong_permutation(self):
+        f = PermutationOracle(np.random.default_rng(5).permutation(16))
+        family = HellmanInversion(2)
+        R = sample_R(16, 0.9, 3, 5)
+        enc = encode(f, family, R, CompressionParams(0.9, 0.001))
+        try:
+            table, _ = decode(dataclasses.replace(enc, advice=flip_bit(enc.advice, 7)), R, family)
+        except (CorruptEncodingError, DecodeFailure):
+            return
+        assert np.array_equal(table, f.table)
 
 
 class TestEnvelope:

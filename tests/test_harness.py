@@ -3,8 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from advice_lab import compress, harness, qsim
 from advice_lab.adapters import GroverInversion, HellmanInversion
 from advice_lab.cli import main
 from advice_lab.qsim import PermutationOracle
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestCommands:
@@ -297,9 +301,12 @@ class TestCli:
         assert "4," in body and "8," in body
 
     def test_installed_entry_point(self, tmp_path):
+        # the child imports this checkout's src, not whatever is installed
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "advice_lab.cli", "verify", "collision",
              "--trials", "4", "--seed", "6"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("suite,")

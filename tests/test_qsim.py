@@ -35,6 +35,7 @@ from advice_lab.qsim import (
     measurement_distribution,
     query_magnitudes,
     run,
+    top_two,
     tv_distance,
 )
 
@@ -486,6 +487,54 @@ class TestMeasurement:
         assert np.allclose(measurement_distribution(state, "answer"), [1, 0])
         with pytest.raises(ValueError):
             measurement_distribution(state, "spin")
+
+
+def reference_top_two(state, register):
+    dist = measurement_distribution(state, register)
+    outcome = int(np.argmax(dist))
+    runner_up = np.partition(dist, -2)[-2] if len(dist) > 1 else 0.0
+    return outcome, dist[outcome], runner_up
+
+
+def dense_finals():
+    """Seeded dense final states: Grover runs at several round counts and
+    Haar-scrambler runs, some with a one-value workspace register."""
+    for n, rounds in ((4, 1), (8, 0), (8, 2), (16, 3), (32, 4)):
+        f = PermutationOracle(np.random.default_rng(n + rounds).permutation(n))
+        yield run(grover_spec(n, rounds), f, n - 1)[0]
+    for seed, (n, workspace) in enumerate([(4, 2), (4, 1), (2, 3)]):
+        f = FunctionOracle(np.random.default_rng(seed).integers(0, n, size=n))
+        yield run(haar_scrambler(BasisLayout(n, n, workspace), 2, seed=seed), f)[0]
+
+
+class TestTopTwo:
+    @pytest.mark.parametrize("register", ["position", "answer", "workspace"])
+    def test_dense_states_match_the_distribution(self, register):
+        for state in dense_finals():
+            assert isinstance(state, PureState)
+            outcome, p, runner_up = top_two(state, register)
+            ref_outcome, ref_p, ref_runner_up = reference_top_two(state, register)
+            assert (outcome, p, runner_up) == (ref_outcome, ref_p, ref_runner_up)
+            assert type(outcome) is int and type(p) is float and type(runner_up) is float
+
+    @pytest.mark.parametrize("register", ["position", "answer", "workspace"])
+    def test_basis_states_match_the_distribution(self, register):
+        for layout in (BasisLayout(4, 2, 1), BasisLayout(8, 8, 2), BasisLayout(2, 2, 3)):
+            for index in range(0, layout.dim, 3):
+                state = BasisState(layout, layout.coords(index))
+                assert top_two(state, register) == reference_top_two(state, register)
+
+    def test_one_value_register_has_no_runner_up(self):
+        lay = BasisLayout(4, 2, 1)
+        assert top_two(basis_state(lay, 2, 1), "workspace") == (0, 1.0, 0.0)
+        dense = PureState(basis_state(lay, 2, 1).amplitudes, lay)
+        assert top_two(dense, "workspace") == (0, 1.0, 0.0)
+
+    def test_unknown_register_rejected(self):
+        lay = BasisLayout(4, 2)
+        for state in (basis_state(lay, 1), PureState(basis_state(lay, 1).amplitudes, lay)):
+            with pytest.raises(ValueError):
+                top_two(state, "spin")
 
 
 class TestDistances:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from advice_lab.util import (
+    bit_array,
     bits_to_int,
     bitstring,
     int_array,
@@ -30,6 +31,27 @@ class TestIntArray:
     def test_values_outside_int64_raise_value_error(self, values):
         with pytest.raises(ValueError, match="outside int64"):
             int_array(values)
+
+
+class TestBitArray:
+    @pytest.mark.parametrize("values", [[1, 0, 1], (1, 0, 1), [True, False, True],
+                                        np.array([True, False, True]),
+                                        np.array([1, 0, 1], dtype=np.uint8)])
+    def test_bits_and_bools_pass_as_int64(self, values):
+        out = bit_array(values)
+        assert out.dtype == np.int64 and out.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("values", [[0, 2], [-1, 1], [1, 256], np.array([3], dtype=np.uint8),
+                                        [1 << 63]])
+    def test_non_bits_raise_value_error(self, values):
+        with pytest.raises(ValueError):
+            bit_array(values)
+
+    @pytest.mark.parametrize("values", [[0.0, 1.0], np.array([0.0, 1.0]), ["1"],
+                                        np.zeros((2, 2), dtype=int)])
+    def test_non_integers_raise_type_error(self, values):
+        with pytest.raises(TypeError):
+            bit_array(values)
 
 
 class TestIntToBits:
