@@ -2,8 +2,8 @@
 
 Shows the per-step instrumentation on a classical adapter (magnitudes are a
 literal transcript) and on an amplification run (fractional mass), then
-perturbs oracles on small sets and compares the final-state movement to
-sqrt(T * mass on the perturbed positions).
+perturbs oracles on small sets and compares the final-state movement to the
+hybrid lemma's 2 * sqrt(T * mass on the perturbed positions).
 """
 
 import numpy as np
@@ -47,7 +47,7 @@ def magnitude_demo():
 
 def swapping_demo():
     print("-" * 72)
-    print("  perturbation bound: ||final_x - final_y|| vs sqrt(T * mass on delta)")
+    print("  perturbation bound: ||final_x - final_y|| vs 2 * sqrt(T * mass on delta)")
     rng = np.random.default_rng(7)
     print(f"  {'instance':<26} {'|delta|':>7} {'bound':>9} {'actual':>9} {'holds':>6}")
     for trial in range(6):

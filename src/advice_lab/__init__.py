@@ -59,6 +59,7 @@ from .hybrid import (
     box_experiment,
     collision_in_window,
     expectation_check,
+    perturbation_bound,
     verify_swapping,
     verify_tv,
 )

@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, trials=8)
 
     p = sub.add_parser("box", help="advice-class collision experiment")
-    p.add_argument("--n", type=int, default=8, help="number of boxes, at most 63")
+    p.add_argument("--n", type=int, default=8, help="number of boxes")
     p.add_argument("--m", type=int, default=2)
     _add_common(p, trials=20)
 

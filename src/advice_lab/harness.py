@@ -34,6 +34,7 @@ from .hybrid import (
     box_experiment,
     collision_in_window,
     expectation_check,
+    perturbation_bound,
     verify_swapping,
     verify_tv,
 )
@@ -153,7 +154,7 @@ def cmd_box(n: int, m: int, trials: int, seed: int) -> ResultTable:
             "trial": rec.trial,
             "j": rec.j,
             "alpha": rec.alpha,
-            "class_size": rec.class_size,
+            "log2_class_size": rec.log2_class_size,
             "window": " ".join(str(i) for i in rec.window),
             "delta_size": len(rec.swap.delta_set),
             "num_queries": rec.swap.num_queries,
@@ -169,7 +170,7 @@ def cmd_box(n: int, m: int, trials: int, seed: int) -> ResultTable:
         for rec in result.records
     ]
     return _table(config, [
-        "trial", "j", "alpha", "class_size", "window", "delta_size", "num_queries",
+        "trial", "j", "alpha", "log2_class_size", "window", "delta_size", "num_queries",
         "swap_bound", "swap_actual", "swap_holds", "averaged_bound",
         "mean_qz", "expected_qz", "qz_stderr", "qz_within_3se"],
         rows, result.all_swaps_hold and result.all_expectations_within)
@@ -272,7 +273,9 @@ def compress_trial(f: PermutationOracle, family, R, params) -> dict:
     max_dist = max((euclidean_distance(runs_f[y], final_h) for y, final_h in finals.items()),
                    default=0.0)
     record["max_h_distance"] = max_dist
-    record["h_ok"] = max_dist <= math.sqrt(params.c) + 1e-9
+    # A good element's stray mass is at most c/T, so over T queries the lemma
+    # bounds the distance by 2 * sqrt(T * c/T) = perturbation_bound(1, c).
+    record["h_ok"] = max_dist <= perturbation_bound(1, params.c) + 1e-9
     return record
 
 
@@ -325,9 +328,7 @@ def _swap_instance(rng: np.random.Generator, n: int, kind: str):
     if kind == "grover":
         f, f2, a = _swapped_permutations(rng, n)
         y = int(f[a]) if rng.random() < 0.7 else int(rng.integers(n))
-        # Three rounds keep the magnitude mass on a queried disagreement set
-        # high enough that the bound clears the diameter 2 of the unit sphere;
-        # at two rounds the bound can dip below the observed distance.
+        # A fixed three rounds; the lemma's 2 * sqrt(T * mass) holds at any count.
         alg = grover_spec(n, 3)
         return alg, PermutationOracle(f), PermutationOracle(f2), y
     if kind == "parity":

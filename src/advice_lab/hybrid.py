@@ -1,10 +1,10 @@
 """Empirical verifiers for the query-perturbation bounds and the box experiment.
 
-The central inequality: changing the oracle only on positions carrying little
-total query magnitude moves the final state of a run by at most
-sqrt(T * sum of those magnitudes).  This module checks that inequality (and
-the measurement-distance bound that rides on it) on real runs, and drives the
-advice-class collision experiment that feeds it adversarial oracle pairs.
+The hybrid lemma: changing the oracle only on positions carrying little total
+query magnitude moves a run's final state by at most 2 * sqrt(T * that mass).
+This module checks it (and the measurement-distance bound that rides on it) on
+real runs, and drives the advice-class collision experiment that feeds it
+adversarial oracle pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .qsim import (
 from .util import bitstring, int_to_bits, stream_rng
 
 SWAP_TOL = 1e-9
-MAX_BOX_N = 63  # box_experiment draws each string as one int64
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +75,6 @@ class ParityAdviceScheme:
     def pad_for(self, bits) -> ParityPad:
         return parity_preprocess(bits, self.m)
 
-    def advice_string(self, bits) -> str:
-        return bitstring(self.pad_for(bits).parities)
-
     def partition(self, n: int, alpha: str) -> AdvicePartition:
         if len(alpha) != self.m or not set(alpha) <= {"0", "1"}:
             raise ValueError(f"advice must be {self.m} characters of 0/1, got {alpha!r}")
@@ -117,6 +113,12 @@ def collision_in_window(strings, window: Sequence[int], n: int) -> tuple[int, in
 # Inequality verifiers
 # ---------------------------------------------------------------------------
 
+def perturbation_bound(num_queries: int, mass: float) -> float:
+    """The hybrid lemma (BBBV 1997): query t moves the state by at most
+    2 * sqrt(q_t(delta)); the triangle inequality and Cauchy-Schwarz sum them."""
+    return 2.0 * math.sqrt(num_queries * mass)
+
+
 @dataclass(frozen=True)
 class SwapReport:
     """One checked instance of the oracle-perturbation bound."""
@@ -132,13 +134,13 @@ class SwapReport:
 def verify_swapping(alg: AlgorithmSpec, oracle_x: Oracle, oracle_y: Oracle,
                     run_input=None) -> SwapReport:
     """Run the same algorithm (same advice, same input) against two oracles and
-    compare the final-state distance to sqrt(T * magnitude mass on the
-    disagreement set), measured on the first run."""
+    compare the final-state distance to perturbation_bound(T, magnitude mass
+    on the disagreement set), the mass measured on the first run."""
     delta = oracle_delta(oracle_x, oracle_y)
     final_x, trace_x = run(alg, oracle_x, run_input)
     final_y, _ = run(alg, oracle_y, run_input)
     mass = float(trace_x.totals[delta].sum()) if len(delta) else 0.0
-    bound = math.sqrt(alg.num_queries * mass)
+    bound = perturbation_bound(alg.num_queries, mass)
     actual = euclidean_distance(final_x, final_y)
     return SwapReport(
         bound=bound,
@@ -201,12 +203,12 @@ class BoxTrialRecord:
     trial: int
     j: int
     alpha: str
-    class_size: int
+    log2_class_size: int  # N - m: the class holds exactly 2^(N-m) strings
     window: tuple
     x: int
     y: int
     swap: SwapReport
-    eq_bound: float  # T * sqrt((m+1)/(N-1)), the averaged form of the bound
+    eq_bound: float  # the bound at a window's mean mass (m+1)T/(N-1): 2T sqrt((m+1)/(N-1))
     expectation: ExpectationReport
 
 
@@ -228,32 +230,28 @@ class BoxExperimentResult:
 def box_experiment(n: int, scheme: ParityAdviceScheme,
                    algorithm_factory: Callable[[ParityPad, int], AlgorithmSpec],
                    trials: int, seed: int) -> BoxExperimentResult:
-    """Per trial: take the advice class of a random string and a random window
-    of m + 1 coordinates (m = scheme.m), take the two strings of the class that
-    AdvicePartition.collision builds inside the window, and check the
-    perturbation bound on the algorithm the factory builds from the shared
-    advice.  Each string is drawn as one int64, so N is capped at MAX_BOX_N."""
+    """Per trial: draw an N-bit string and its parity pad (the advice alpha its
+    whole class shares), a random window of m + 1 coordinates (m = scheme.m)
+    and the pair AdvicePartition.collision builds there; check the perturbation
+    bound on the algorithm the factory builds from the pad."""
     m = scheme.m
-    if n > MAX_BOX_N:
-        raise ValueError(f"box draws each string as one int64; N is capped at {MAX_BOX_N}")
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < N")
     records = []
     for t in range(trials):
         rng = stream_rng(seed, t)
         j = int(rng.integers(n))
-        x0 = int(rng.integers(1 << n))
-        part = scheme.partition(n, scheme.advice_string(int_to_bits(x0, n)))
+        pad = scheme.pad_for(rng.integers(0, 2, size=n))
+        part = scheme.partition(n, bitstring(pad.parities))
         window = tuple(sorted(int(i) for i in rng.choice(n, size=m + 1, replace=False)))
         x, y = part.collision(window)
-        bits_x = int_to_bits(x, n)
-        alg = algorithm_factory(scheme.pad_for(bits_x), j)
-        swap = verify_swapping(alg, BitStringOracle(bits_x, forbidden=j),
+        alg = algorithm_factory(pad, j)
+        swap = verify_swapping(alg, BitStringOracle(int_to_bits(x, n), forbidden=j),
                                BitStringOracle(int_to_bits(y, n), forbidden=j), j)
-        eq_bound = alg.num_queries * math.sqrt((m + 1) / (n - 1))
+        eq_bound = perturbation_bound(alg.num_queries, alg.num_queries * (m + 1) / (n - 1))
         expectation = expectation_check(swap.totals, j, alg.num_queries, rng)
         records.append(BoxTrialRecord(
-            trial=t, j=j, alpha=part.alpha, class_size=part.size, window=window,
+            trial=t, j=j, alpha=part.alpha, log2_class_size=n - m, window=window,
             x=x, y=y, swap=swap, eq_bound=eq_bound, expectation=expectation,
         ))
     return BoxExperimentResult(n, m, tuple(records))

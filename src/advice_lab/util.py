@@ -35,12 +35,13 @@ def bit_array(values) -> np.ndarray:
 
 
 def int_to_bits(value: int, n: int) -> np.ndarray:
-    """Unpack an n-bit integer into a uint8 array, index 0 = least significant bit.
-
-    Raises ValueError when the value is negative or needs more than n bits."""
-    if not 0 <= int(value) < 1 << n:
+    """An n-bit integer as an int64 0/1 array, index 0 = least significant bit,
+    exact at any n.  ValueError when it is negative or needs more than n bits."""
+    value = operator.index(value)
+    if not 0 <= value < 1 << n:
         raise ValueError(f"{value} does not fit in {n} unsigned bits")
-    return (value >> np.arange(n)) & 1
+    raw = np.frombuffer(value.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").astype(np.int64)
 
 
 def bits_to_int(bits) -> int:

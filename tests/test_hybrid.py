@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from advice_lab.adapters import parity_box_algorithm
+from advice_lab.adapters import haar_scrambler, masked_box_grover, parity_box_algorithm
 from advice_lab.advice import group_boundaries
 from advice_lab.hybrid import (
-    MAX_BOX_N,
     ParityAdviceScheme,
     box_experiment,
     collision_in_window,
     expectation_check,
+    perturbation_bound,
     verify_swapping,
     verify_tv,
 )
@@ -27,6 +27,7 @@ from advice_lab.qsim import (
     grover_spec,
     run,
 )
+from advice_lab.util import bitstring
 
 
 def brute_force_pair(members, window, n):
@@ -56,7 +57,31 @@ def enumerate_class(n, m, alpha):
 
 def advice_of(scheme, x, n):
     """Advice string of an n-bit int of any size."""
-    return scheme.advice_string([(x >> i) & 1 for i in range(n)])
+    return bitstring(scheme.pad_for([(x >> i) & 1 for i in range(n)]).parities)
+
+
+def perturbation_instance(rng):
+    """A random (algorithm, oracle pair, input): Grover with T = 1 or 2 against
+    a swapped permutation, box-Grover against flipped bits, or a Haar scrambler
+    with T = 1 to 3 against flipped bits, at N = 4 to 16."""
+    kind = ("grover", "box-grover", "scrambler")[int(rng.integers(3))]
+    n = int(rng.choice([4, 8, 16] if kind != "scrambler" else [4, 8]))
+    if kind == "grover":
+        f = rng.permutation(n)
+        a, b = rng.choice(n, size=2, replace=False)
+        g = f.copy()
+        g[[a, b]] = g[[b, a]]
+        y = int(f[a]) if rng.random() < 0.7 else int(rng.integers(n))
+        return grover_spec(n, int(rng.integers(1, 3))), PermutationOracle(f), PermutationOracle(g), y
+    bits = rng.integers(0, 2, size=n)
+    j = int(rng.integers(n))
+    other = bits.copy()
+    other[rng.choice(np.delete(np.arange(n), j), size=int(rng.integers(1, 3)), replace=False)] ^= 1
+    if kind == "box-grover":
+        return (masked_box_grover(n), BitStringOracle(bits, forbidden=j),
+                BitStringOracle(other, forbidden=j), j)
+    alg = haar_scrambler(BasisLayout(n, 2, 2), int(rng.integers(1, 4)), int(rng.integers(2 ** 31)))
+    return alg, BitStringOracle(bits), BitStringOracle(other), 0
 
 
 def agree_outside(x, y, window, n):
@@ -195,6 +220,29 @@ class TestVerifySwapping:
                                   int(f[a]))
             assert rep.holds, rep
 
+    def test_one_query_needs_the_factor_two(self):
+        # one Grover round at N=4 moves the state by sqrt(2) = 2 * sqrt(T * mass)
+        alg = grover_spec(4, 1)
+        rep = verify_swapping(alg, PermutationOracle(np.array([0, 1, 2, 3])),
+                              PermutationOracle(np.array([1, 0, 2, 3])), 0)
+        mass = float(rep.totals[list(rep.delta_set)].sum())
+        assert rep.actual == pytest.approx(math.sqrt(2))
+        assert rep.actual > math.sqrt(rep.num_queries * mass) + 1e-9
+        assert rep.bound == perturbation_bound(1, mass) == pytest.approx(math.sqrt(2))
+        assert rep.holds
+
+    def test_factor_two_bounds_and_is_needed_on_random_instances(self):
+        rng = np.random.default_rng(1997)
+        needed = 0
+        for _ in range(300):
+            alg, ox, oy, run_input = perturbation_instance(rng)
+            rep = verify_swapping(alg, ox, oy, run_input)
+            mass = float(rep.totals[list(rep.delta_set)].sum())
+            assert rep.bound == perturbation_bound(rep.num_queries, mass)
+            assert rep.actual <= 2 * math.sqrt(rep.num_queries * mass) + 1e-9
+            needed += rep.actual > math.sqrt(rep.num_queries * mass) + 1e-9
+        assert needed > 0
+
     def test_oracle_shape_mismatch(self):
         alg = grover_spec(4, 1)
         with pytest.raises(ValueError):
@@ -252,7 +300,7 @@ class TestBoxExperiment:
         assert result.all_swaps_hold
         assert result.all_expectations_within
         for rec in result.records:
-            assert rec.class_size == 2 ** 6
+            assert rec.log2_class_size == 6
             assert len(rec.window) == 3
             # pair members really sit in the advice class and differ inside it
             outside = ((1 << 8) - 1) ^ sum(1 << i for i in rec.window)
@@ -265,8 +313,8 @@ class TestBoxExperiment:
         assert result.m == m
         for rec in result.records:
             assert len(rec.window) == m + 1
-            assert rec.class_size == 2 ** (8 - m)
-            assert rec.eq_bound == rec.swap.num_queries * math.sqrt((m + 1) / 7)
+            assert rec.log2_class_size == 8 - m
+            assert rec.eq_bound == pytest.approx(2 * rec.swap.num_queries * math.sqrt((m + 1) / 7))
 
     def test_zero_query_algorithm_gives_zero_distances(self):
         lay = BasisLayout(8, 2, 1)
@@ -286,18 +334,17 @@ class TestBoxExperiment:
             assert rec.expectation.mean == 0.0
         assert result.all_swaps_hold
 
-    @pytest.mark.parametrize("n", [16, MAX_BOX_N])
+    @pytest.mark.parametrize("n", [16, 64, 1024])
     def test_past_enumeration_all_hold(self, n):
         scheme = ParityAdviceScheme(2)
         result = box_experiment(n, scheme, parity_box_algorithm, trials=6, seed=n)
         assert result.all_swaps_hold
         for rec in result.records:
-            assert rec.class_size == 2 ** (n - 2)
+            assert rec.log2_class_size == n - 2
             assert rec.x != rec.y and agree_outside(rec.x, rec.y, rec.window, n)
             assert advice_of(scheme, rec.x, n) == advice_of(scheme, rec.y, n) == rec.alpha
 
-    def test_size_cap_and_bad_m(self):
-        with pytest.raises(ValueError, match="63"):
-            box_experiment(MAX_BOX_N + 1, ParityAdviceScheme(2), parity_box_algorithm, 1, 0)
-        with pytest.raises(ValueError):
-            box_experiment(8, ParityAdviceScheme(8), parity_box_algorithm, 1, 0)
+    @pytest.mark.parametrize("m", [0, 8])
+    def test_rejects_bad_m(self, m):
+        with pytest.raises(ValueError, match="1 <= m < N"):
+            box_experiment(8, ParityAdviceScheme(m), parity_box_algorithm, 1, 0)

@@ -60,10 +60,21 @@ class TestIntToBits:
             for value in range(1 << n):
                 assert bits_to_int(int_to_bits(value, n)) == value
 
-    @pytest.mark.parametrize("value, n", [(4, 2), (1, 0), (-1, 8), (1 << 16, 16)])
+    @pytest.mark.parametrize("value, n", [(4, 2), (1, 0), (-1, 8), (1 << 16, 16), (1 << 80, 80)])
     def test_rejects_values_that_do_not_fit(self, value, n):
         with pytest.raises(ValueError):
             int_to_bits(value, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 4096])
+    def test_exact_past_int64(self, n):
+        rng = np.random.default_rng(n)
+        for value in {0, (1 << n) - 1, int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n)}:
+            out = int_to_bits(value, n)
+            assert out.dtype == np.int64
+            assert out.tolist() == [(value >> i) & 1 for i in range(n)]
+
+    def test_high_bit_past_int64(self):
+        assert np.flatnonzero(int_to_bits(1 << 70, 80)).tolist() == [70]
 
 
 class TestParseBitstring:
