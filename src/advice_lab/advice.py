@@ -3,7 +3,8 @@
 Two structures live here: per-group parity pads, which answer single-bit
 queries about a string while skipping one index, and anchor tables built from
 iterates of a permutation, which invert it with a bounded number of forward
-evaluations.  Both carry exact bit-size accounting and JSON round-trips.
+evaluations.  Both carry exact bit-size accounting; anchor tables also
+round-trip through JSON.
 Each structure's reads, walk and advice bits are defined here once; the
 statevector adapters embed these same definitions.
 """
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .qsim import BitStringOracle, PermutationOracle
-from .util import bit_array, bits_to_int, bitstring, ceil_log2, int_array, pack_fields, parse_bitstring
+from .util import bit_array, ceil_log2, int_array, pack_fields, parse_bitstring
 
 
 class CorruptTableError(RuntimeError):
@@ -77,28 +78,6 @@ class ParityPad:
         k = self.group_of(j)
         lo, hi = self.group_bounds(k)
         return np.r_[lo:j, j + 1:hi], int(self.parities[k])
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "m": self.m,
-            "boundaries": [int(b) for b in self.boundaries],
-            "parities": bitstring(self.parities),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str, num_positions: int) -> "ParityPad":
-        doc = json.loads(payload)
-        try:
-            m, boundaries, parities = doc["m"], doc["boundaries"], doc["parities"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"parity pad field missing: {exc!r}") from exc
-        if not isinstance(parities, str):
-            raise ValueError("parities must be a bit string")
-        if not isinstance(boundaries, list) or any(type(b) is not int for b in boundaries):
-            raise ValueError("boundaries must be a list of integers")
-        if type(m) is not int or m != len(boundaries):
-            raise ValueError("m must be an integer equal to the number of group starts")
-        return cls(num_positions, np.array(boundaries), parse_bitstring(parities))
 
 
 def group_boundaries(n: int, m: int) -> np.ndarray:
@@ -185,8 +164,8 @@ class HellmanTable:
 
     @property
     def header_bits(self) -> int:
-        """Per-cycle pair count field."""
-        return len(self.cycles) * ceil_log2(self.num_positions + 1)
+        """The pair count field in front of the pairs."""
+        return ceil_log2(self.num_positions + 1)
 
     def rights(self) -> dict[int, tuple[int, int]]:
         """Map each pair's right element to (left element, stride)."""
@@ -198,17 +177,12 @@ class HellmanTable:
         return {right: left for cycle in self.cycles for left, right, _stride in cycle}
 
     def to_bits(self) -> str:
-        """The stored advice: per cycle, its pair count in ceil_log2(N + 1)
-        bits, then each pair's left and right in n bits each (integers least
-        significant bit first).  Exactly bit_size + header_bits long."""
-        width = ceil_log2(self.num_positions + 1)
-        values, widths = [], []
-        for cycle in self.cycles:
-            values.append(len(cycle))
-            for left, right, _stride in cycle:
-                values += (left, right)
-            widths += [width] + [self.n] * (2 * len(cycle))
-        return pack_fields(values, widths)
+        """The stored advice: the pair count in header_bits = ceil_log2(N + 1)
+        bits, then each pair's left and right in n bits each, cycle by cycle
+        (integers least significant bit first).  Exactly bit_size +
+        header_bits long."""
+        pairs = [v for cycle in self.cycles for left, right, _stride in cycle for v in (left, right)]
+        return pack_fields([self.entry_count, *pairs], [self.header_bits] + [self.n] * len(pairs))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -222,9 +196,11 @@ class HellmanTable:
     def from_json(cls, payload: str) -> "HellmanTable":
         """Load a table, raising ValueError on a missing field, a non-integer
         value, n outside [1, 62] (``to_bits`` writes the pair count in n + 1
-        bits, and ``util.pack_fields`` at most 63), s outside [1, 2^n], a
-        cycle with no anchors, an element outside [0, 2^n), a stride below 1
-        or two pairs with the same right element."""
+        bits, and ``util.pack_fields`` at most 63), s outside [1, 2^n], no
+        cycles (``to_bits`` would write a pair count of 0, which
+        ``parse_hellman_bits`` rejects), a cycle with no anchors, an element
+        outside [0, 2^n), a stride below 1 or two pairs with the same right
+        element."""
         doc = json.loads(payload)
         try:
             n, s = doc["n"], doc["s"]
@@ -241,6 +217,8 @@ class HellmanTable:
 
         if not (s >= 1 and below_size(s - 1)):
             raise ValueError("s outside [1, 2^n]")
+        if not cycles:
+            raise ValueError("table with no cycles")
         for cycle in cycles:
             if not cycle:
                 raise ValueError("cycle with no anchors")
@@ -302,26 +280,20 @@ def hellman_build(f, s: int) -> HellmanTable:
 
 
 def parse_hellman_bits(advice: str, num_positions: int) -> dict[int, int]:
-    """Read HellmanTable.to_bits records until the bits run out, into the
-    anchors map {right: left}.  Raises ValueError on a record cut short, a
-    pair count of zero or two pairs with the same right element."""
+    """Read HellmanTable.to_bits into the anchors map {right: left}.  Raises
+    ValueError unless the advice is a pair count of at least 1 followed by
+    exactly that many pairs, or when two pairs share a right element."""
     n = ceil_log2(num_positions)
     width = ceil_log2(num_positions + 1)
     bits = parse_bitstring(advice)
-    weights = 1 << np.arange(n, dtype=np.int64)
-    anchors = {}
-    pos = pairs = 0
-    while pos < len(bits):
-        count = bits_to_int(bits[pos:pos + width])
-        end = pos + width + count * 2 * n
-        if end > len(bits):
-            raise ValueError("anchor record cut short")
-        if count == 0:
-            raise ValueError("anchor record with no pairs")
-        values = (bits[pos + width:end].reshape(2 * count, n) @ weights).tolist()
-        anchors.update(zip(values[1::2], values[0::2]))
-        pos, pairs = end, pairs + count
-    if len(anchors) != pairs:
+    weights = 1 << np.arange(width, dtype=np.int64)
+    head = bits[:width]
+    count = int(head @ weights[:len(head)])
+    if count < 1 or len(bits) != width + 2 * n * count:
+        raise ValueError("anchor advice is not a positive pair count followed by that many pairs")
+    values = (bits[width:].reshape(2 * count, n) @ weights[:n]).tolist()
+    anchors = dict(zip(values[1::2], values[0::2]))
+    if len(anchors) != count:
         raise ValueError("two anchor pairs share a right element")
     return anchors
 

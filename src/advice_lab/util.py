@@ -44,14 +44,6 @@ def int_to_bits(value: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, count=n, bitorder="little").astype(np.int64)
 
 
-def bits_to_int(bits) -> int:
-    """Pack a 0/1 sequence (index 0 = least significant bit) into an int."""
-    out = 0
-    for i, b in enumerate(bits):
-        out |= int(b) << i
-    return out
-
-
 def bitstring(bits) -> str:
     """A 0/1 sequence as a '0'/'1' string; any nonzero entry reads as '1'."""
     ones = np.asarray(bits) != 0

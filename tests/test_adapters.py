@@ -164,18 +164,19 @@ class TestHellmanFamily:
             assert trace.totals.sum() == float(alg.num_queries)
 
     def test_identity_roundtrip_at_most_cycles(self):
-        # the identity has N one-element cycles, the most a table can have
+        # the identity has N one-element cycles, the most a table can have;
+        # its advice is one 11-bit pair count and 1024 pairs of 10-bit elements
         table = hellman_build(np.arange(1024), 1)
         advice = HellmanInversion(1).preprocess(PermutationOracle(np.arange(1024)))
         assert HellmanInversion(1).parse_advice(advice, 1024) == {x: x for x in range(1024)}
-        assert len(advice) == table.bit_size + table.header_bits
+        assert len(advice) == table.bit_size + table.header_bits == 11 + 1024 * 20
 
     @pytest.mark.parametrize("n", [2, 16, 128, 1024])
     def test_advice_length_is_reported_size(self, n):
         f = PermutationOracle(np.random.default_rng(n).permutation(n))
         for s in sorted({min(n, s) for s in (1, 2, 3, n // 16 or 1, n // 2, n)}):
             table = hellman_build(f, s)
-            assert len(HellmanInversion(s).preprocess(f)) == table.bit_size + table.header_bits
+            assert len(HellmanInversion(s).preprocess(f)) == table.bit_size + ceil_log2(n + 1)
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("s", [1, 2, 4])

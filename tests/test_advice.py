@@ -70,13 +70,6 @@ def mutated_payloads(draw, payload: str) -> str:
 
 
 @st.composite
-def parity_pads(draw) -> ParityPad:
-    n = draw(st.integers(2, 24))
-    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    return parity_preprocess(bits, draw(st.integers(1, n - 1)))
-
-
-@st.composite
 def anchor_tables(draw) -> HellmanTable:
     n_elems = 1 << draw(st.integers(1, 5))
     perm = draw(st.permutations(range(n_elems)))
@@ -84,11 +77,10 @@ def anchor_tables(draw) -> HellmanTable:
 
 
 def to_bits_reference(table: HellmanTable) -> str:
-    """The per-field join HellmanTable.to_bits must reproduce."""
-    width = ceil_log2(table.num_positions + 1)
-    fields = []
+    """The per-field join HellmanTable.to_bits must reproduce: the pair count,
+    then every pair's left and right."""
+    fields = [int_to_bits(table.entry_count, ceil_log2(table.num_positions + 1))]
     for cycle in table.cycles:
-        fields.append(int_to_bits(len(cycle), width))
         for left, right, _stride in cycle:
             fields += [int_to_bits(left, table.n), int_to_bits(right, table.n)]
     return "".join("1" if b else "0" for field in fields for b in field)
@@ -161,14 +153,9 @@ class TestParityPad:
                     assert bit == answers[row, j]
                     assert count == counts[j]
 
-    def test_pad_bit_size_and_json_roundtrip(self):
+    def test_pad_bit_size(self):
         bits = np.random.default_rng(4).integers(0, 2, size=12)
-        pad = parity_preprocess(bits, 5)
-        assert pad.bit_size == 5
-        clone = ParityPad.from_json(pad.to_json(), 12)
-        assert np.array_equal(clone.boundaries, pad.boundaries)
-        assert np.array_equal(clone.parities, pad.parities)
-        assert pad.to_json() == clone.to_json()
+        assert parity_preprocess(bits, 5).bit_size == 5
 
     @pytest.mark.parametrize("boundaries, parities", [
         ([], []),              # no groups
@@ -181,25 +168,6 @@ class TestParityPad:
     def test_rejects_malformed_pads(self, boundaries, parities):
         with pytest.raises(ValueError):
             ParityPad(8, boundaries, parities)
-
-    def test_rejects_malformed_json(self):
-        with pytest.raises(ValueError):
-            ParityPad.from_json('{"m":2,"boundaries":[3,1],"parities":"12"}', 8)
-
-    @pytest.mark.parametrize("payload", [
-        '{"m": 2, "parities": "01"}',              # no boundaries
-        '{"m": 2, "boundaries": [0, 4]}',          # no parities
-        '[0, 4]',                                  # not an object
-        '{"m": 2, "boundaries": [0, 4], "parities": 5}',  # parities not a string
-        '{"boundaries": [0, 4], "parities": "01"}',       # no m
-        '{"m": "2", "boundaries": [0, 4], "parities": "01"}',  # m not an integer
-        '{"m": 5, "boundaries": [0, 4], "parities": "01"}',    # m is not the group count
-        '{"m": 2, "boundaries": [0, 4.5], "parities": "01"}',  # a start is not an integer
-        '{"m": 2, "boundaries": [0, true], "parities": "01"}',  # a start is a boolean
-    ])
-    def test_json_missing_field_is_value_error(self, payload):
-        with pytest.raises(ValueError):
-            ParityPad.from_json(payload, 8)
 
     @pytest.mark.parametrize("call", [
         lambda: parity_preprocess([2, 3, 0, 1], 1),  # 2 XOR 3 XOR 1 would give parity 0
@@ -238,29 +206,10 @@ class TestParityPad:
 
 class TestJsonProperties:
     @PROPERTY_SETTINGS
-    @given(parity_pads())
-    def test_pad_roundtrip(self, pad):
-        clone = ParityPad.from_json(pad.to_json(), pad.num_positions)
-        assert np.array_equal(clone.boundaries, pad.boundaries)
-        assert np.array_equal(clone.parities, pad.parities)
-        assert clone.to_json() == pad.to_json()
-
-    @PROPERTY_SETTINGS
     @given(anchor_tables())
     def test_anchor_table_roundtrip(self, table):
         clone = HellmanTable.from_json(table.to_json())
         assert clone == table and clone.to_bits() == table.to_bits()
-
-    @PROPERTY_SETTINGS
-    @given(st.data())
-    def test_mutated_pad_loads_or_raises_value_error(self, data):
-        pad = data.draw(parity_pads())
-        payload = data.draw(mutated_payloads(pad.to_json()))
-        try:
-            clone = ParityPad.from_json(payload, pad.num_positions)
-        except ValueError:
-            return
-        assert ParityPad.from_json(clone.to_json(), pad.num_positions).to_json() == clone.to_json()
 
     @PROPERTY_SETTINGS
     @given(st.data())
@@ -273,6 +222,26 @@ class TestJsonProperties:
             return
         assert HellmanTable.from_json(clone.to_json()) == clone
         clone.to_bits()  # every loaded table can write its advice
+
+
+class TestAnchorAdviceProperties:
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_advice_parses_back_and_every_cut_or_flip_fails_loudly(self, data):
+        n_elems = 1 << data.draw(st.integers(1, 8))
+        perm = data.draw(st.permutations(range(n_elems)))
+        table = hellman_build(perm, data.draw(st.integers(1, n_elems)))
+        bits = table.to_bits()
+        assert parse_hellman_bits(bits, n_elems) == table.anchors
+        assert len(bits) == table.bit_size + ceil_log2(n_elems + 1)
+        for bad in [bits[:i] for i in range(len(bits))] + [bits + "0", bits + "1"]:
+            with pytest.raises(ValueError):
+                parse_hellman_bits(bad, n_elems)
+        for i in range(len(bits)):
+            try:
+                parse_hellman_bits(bits[:i] + "10"[int(bits[i])] + bits[i + 1:], n_elems)
+            except ValueError:
+                pass
 
 
 class TestIterate:
@@ -393,7 +362,7 @@ class TestHellmanTable:
         f = np.random.default_rng(9).permutation(64)
         table = hellman_build(f, 8)
         assert table.bit_size == table.entry_count * 2 * 6
-        assert table.header_bits == len(table.cycles) * ceil_log2(65)
+        assert table.header_bits == ceil_log2(65)
 
     def test_bits_parse_back_to_anchors(self):
         f = np.random.default_rng(12).permutation(32)
@@ -405,11 +374,9 @@ class TestHellmanTable:
     def test_parse_rejects_cut_and_empty_records(self):
         bits = hellman_build(np.random.default_rng(13).permutation(32), 4).to_bits()
         width = ceil_log2(33)
-        for bad in (bits[:-1], bits + "1", bits[:width - 1]):
-            with pytest.raises(ValueError, match="cut short"):
+        for bad in (bits[:-1], bits + "1", bits[:width - 1], "", "0" * width, "0" * width + bits[width:]):
+            with pytest.raises(ValueError, match="positive pair count"):
                 parse_hellman_bits(bad, 32)
-        with pytest.raises(ValueError, match="no pairs"):
-            parse_hellman_bits("0" * width + bits, 32)
         with pytest.raises(ValueError):
             parse_hellman_bits(bits[:-1] + "2", 32)
 
@@ -452,6 +419,7 @@ class TestHellmanTable:
         "s_zero": {"n": 3, "s": 0, "cycles": [{"anchors": [[0, 2, 2]]}]},
         "s_above_domain": {"n": 3, "s": 9, "cycles": [{"anchors": [[0, 2, 2]]}]},
         "cycle_without_anchors": {"n": 3, "s": 2, "cycles": [{"anchors": []}]},
+        "no_cycles": {"n": 3, "s": 2, "cycles": []},  # its advice would be a pair count of 0
         "negative_left": {"n": 3, "s": 2, "cycles": [{"anchors": [[-1, 2, 2]]}]},
         "right_out_of_range": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 8, 2]]}]},
         "stride_zero": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2, 0]]}]},

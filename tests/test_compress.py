@@ -555,15 +555,31 @@ class TestEncodeDecode:
         assert R.tolist() == [3, 11]
         enc = encode(f, family, R, CompressionParams(0.9, 0.001))
         bad = dataclasses.replace(enc, advice=flip_bit(enc.advice, 0))
-        with pytest.raises(ValueError, match="anchor record cut short"):
+        with pytest.raises(ValueError, match="positive pair count"):
             family.spec(bad.advice, 64)
 
         def no_run(*_args):
             raise AssertionError("decode ran the algorithm before parsing the advice")
 
         monkeypatch.setattr(compress_mod, "run", no_run)
-        with pytest.raises(CorruptEncodingError, match="anchor record cut short"):
+        with pytest.raises(CorruptEncodingError, match="positive pair count"):
             decode(bad, R, family)
+
+    def test_cut_advice_raises_corrupt_encoding_before_any_run(self, monkeypatch):
+        # some prefixes of this advice end between two cycles' pairs; they fail too
+        f = PermutationOracle(np.random.default_rng(28).permutation(16))
+        family = HellmanInversion(2)
+        R = sample_R(16, 0.9, 3, 28)
+        assert R.tolist() == [3, 4, 13]
+        enc = encode(f, family, R, CompressionParams(0.9, 0.001))
+
+        def no_run(*_args):
+            raise AssertionError("decode ran the algorithm before parsing the advice")
+
+        monkeypatch.setattr(compress_mod, "run", no_run)
+        for i in range(enc.advice_bits):
+            with pytest.raises(CorruptEncodingError, match="positive pair count"):
+                decode(dataclasses.replace(enc, advice=enc.advice[:i]), R, family)
 
     @pytest.mark.parametrize("family", [LookupInversion(verify=True), HellmanInversion(s=1),
                                         HellmanInversion(s=2), GroverInversion()],

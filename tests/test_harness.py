@@ -95,7 +95,7 @@ class TestReproducibility:
         "box": (lambda: harness.cmd_box(8, 2, 5, 0),
                 "b7f538cba0854b6d2834725be6fd4c437866424d1cf6d6c656e855a9199d9aa1"),
         "hellman": (lambda: harness.cmd_hellman(64, [4, 8], 2, 0),
-                    "ce4758f6e58aac27d6b73eab0eeb5f5de094c493937daed5aae3d7072dd41d15"),
+                    "ebc8c966c667e7801dc9736d9b95b40939d2ba32004a5af10c1f2e12a7824fb4"),
         "compress": (lambda: harness.cmd_compress(16, 0.2, 0.001, 10, 0),
                      "5a025a1fa2e7884ff386f89e14226ebfce12c802d69ae3600f2bc9c2aec838e5"),
         "verify": (lambda: harness.cmd_verify("all", 10, 0),
