@@ -30,7 +30,7 @@ def main():
     n = 16
     rng = np.random.default_rng(5)
     f = PermutationOracle(rng.permutation(n))
-    family = LookupInversion(verify=True)
+    family = LookupInversion()
     params = CompressionParams(delta=0.2, c=0.001)
 
     print("=" * 72)
@@ -46,7 +46,7 @@ def main():
     print(f"\n  sampled R = {R.tolist()}")
     enc = encode(f, family, R, params)
     if enc is None:
-        print("  encoding failed (too few good elements) -- redraw R")
+        print("  encoding failed (no element of R is good) -- redraw R")
         return
     print(f"  good elements (inverted, stray mass on R under c/T): {sorted(enc.runs)}")
     print("\n  component bit accounting:")

@@ -36,7 +36,6 @@ from .advice import (
     ParityPad,
     hellman_build,
     hellman_invert,
-    iterate,
     measure_tradeoff,
     parity_answer,
     parity_answer_sweep,

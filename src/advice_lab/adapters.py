@@ -139,14 +139,9 @@ class GroverInversion:
 @dataclass(frozen=True)
 class LookupInversion:
     """Advice is the full inverse table (N times n bits); the algorithm reads
-    the answer off the advice and, when verifying, spends its single query
-    confirming it."""
+    the answer off the advice and spends its single query confirming it."""
 
-    verify: bool = True
-
-    @property
-    def name(self) -> str:
-        return "lookup[verify]" if self.verify else "lookup"
+    name = "lookup[verify]"
 
     def preprocess(self, f: PermutationOracle) -> str:
         n_elements = f.num_positions
@@ -161,7 +156,6 @@ class LookupInversion:
             raise ValueError("advice length does not match the domain")
         bits = parse_bitstring(advice).reshape(n_elements, n)
         inverse = (bits @ (1 << np.arange(n, dtype=np.int64))).tolist()
-        num_queries = 1 if self.verify else 0
 
         def transition_factory(run_input):
             x0 = inverse[int(run_input)]
@@ -175,7 +169,7 @@ class LookupInversion:
         return ClassicalSpec(
             name=self.name,
             layout=BasisLayout(n_elements, n_elements, 1),
-            num_queries=num_queries,
+            num_queries=1,
             steps=transition_factory,
             output_register="position",
         )

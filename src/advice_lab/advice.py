@@ -12,7 +12,7 @@ statevector adapters embed these same definitions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -32,42 +32,37 @@ class CorruptTableError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParityPad:
-    """m contiguous groups covering [N]; one parity bit per group.
+    """One parity bit for each of m = len(parities) contiguous groups of [N].
 
-    Groups are an equal split with earlier groups larger when N is not a
-    multiple of m, so the first group always has the maximal size ceil(N/m).
+    The groups are ``group_boundaries(N, m)``: an equal split with earlier
+    groups larger when N is not a multiple of m, so the first group always has
+    the maximal size ceil(N/m).  Parities are read by ``util.bit_array``;
+    ValueError unless 1 <= m < N.
     """
 
     num_positions: int
-    boundaries: np.ndarray  # m group start indices, boundaries[0] == 0
-    parities: np.ndarray    # m bits
+    parities: np.ndarray  # m bits
+    starts: np.ndarray = field(init=False, repr=False)  # the m group starts, starts[0] == 0
 
     def __post_init__(self):
-        boundaries, parities = np.asarray(self.boundaries), np.asarray(self.parities)
-        if len(boundaries) != len(parities):
-            raise ValueError("one parity per group")
-        if (len(boundaries) == 0 or boundaries[0] != 0 or np.any(np.diff(boundaries) <= 0)
-                or boundaries[-1] >= self.num_positions):
-            raise ValueError("group starts must begin at 0, strictly increase and stay below N")
-        if np.any((parities != 0) & (parities != 1)):
-            raise ValueError("parities must be 0/1")
-        object.__setattr__(self, "boundaries", boundaries.astype(np.int64))
-        object.__setattr__(self, "parities", parities.astype(np.uint8))
+        parities = bit_array(self.parities).astype(np.uint8)
+        object.__setattr__(self, "parities", parities)
+        object.__setattr__(self, "starts", group_boundaries(self.num_positions, len(parities)))
 
     @property
     def m(self) -> int:
-        return len(self.boundaries)
+        return len(self.parities)
 
     @property
     def bit_size(self) -> int:
         return self.m
 
     def group_of(self, j: int) -> int:
-        return int(np.searchsorted(self.boundaries, j, side="right")) - 1
+        return int(np.searchsorted(self.starts, j, side="right")) - 1
 
     def group_bounds(self, k: int) -> tuple[int, int]:
-        lo = int(self.boundaries[k])
-        hi = int(self.boundaries[k + 1]) if k + 1 < self.m else self.num_positions
+        lo = int(self.starts[k])
+        hi = int(self.starts[k + 1]) if k + 1 < self.m else self.num_positions
         return lo, hi
 
     def reads(self, j: int) -> tuple[np.ndarray, int]:
@@ -92,9 +87,7 @@ def group_boundaries(n: int, m: int) -> np.ndarray:
 def parity_preprocess(bits, m: int) -> ParityPad:
     """Record the parity of each of m contiguous groups of the string."""
     x = _as_bits(bits)
-    starts = group_boundaries(len(x), m)
-    parities = np.bitwise_xor.reduceat(x, starts)
-    return ParityPad(len(x), starts, parities)
+    return ParityPad(len(x), np.bitwise_xor.reduceat(x, group_boundaries(len(x), m)))
 
 
 def parity_answer(j: int, pad: ParityPad, oracle) -> tuple[int, int]:
@@ -231,16 +224,6 @@ class HellmanTable:
         if len(set(rights)) != len(rights):
             raise ValueError("two anchor pairs share a right element")
         return cls(n, s, cycles)
-
-
-def iterate(f, x: int, s: int) -> int:
-    """f applied s times, one evaluation per step; iteration has no shortcut."""
-    if s < 0:
-        raise ValueError("negative iteration count")
-    fn = _as_fn(f)
-    for _ in range(s):
-        x = fn(x)
-    return x
 
 
 def hellman_build(f, s: int) -> HellmanTable:

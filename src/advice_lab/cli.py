@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--delta", type=float, default=0.2)
     p.add_argument("--c", type=float, default=0.001)
-    p.add_argument("--min-good", type=int, default=1)
     _add_common(p, trials=100)
 
     p = sub.add_parser("verify", help="inequality verification suites")
@@ -69,8 +68,7 @@ def main(argv=None) -> int:
             s_values = [int(v) for v in args.s.split(",")]
             table = harness.cmd_hellman(args.n, s_values, args.trials, args.seed)
         elif args.command == "compress":
-            table = harness.cmd_compress(args.n, args.delta, args.c, args.trials,
-                                         args.seed, args.min_good)
+            table = harness.cmd_compress(args.n, args.delta, args.c, args.trials, args.seed)
         else:
             table = harness.cmd_verify(args.suite, args.trials, args.seed)
     except ValueError as exc:

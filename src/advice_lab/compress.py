@@ -223,13 +223,10 @@ class CompressionParams:
 
     delta: float
     c: float
-    min_good: int = 1
 
     def __post_init__(self):
         if not 0 < self.delta < 1 or not 0 < self.c < 1:
             raise ValueError("delta and c must lie in (0, 1)")
-        if self.min_good < 1:
-            raise ValueError("min_good must be at least 1")
 
     @property
     def certainty_margin_ok(self) -> bool:
@@ -400,14 +397,14 @@ def build_h(known: np.ndarray, R, y: int) -> FunctionOracle:
 
 
 def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Optional[Encoding]:
-    """Emit the six components, or None when fewer than min_good elements of R
-    are good (a counted failure of the randomness, not an error).  The good
-    elements' runs against f ride along in ``Encoding.runs``."""
+    """Emit the six components, or None when no element of R is good (a
+    counted failure of the randomness, not an error).  The good elements' runs
+    against f ride along in ``Encoding.runs``."""
     n = f.num_positions
     R = _sorted_sample(R, n)
     advice, alg = prepare(f, family)
     runs = _good_elements(f, alg, R, params)
-    if len(runs) < params.min_good:
+    if not runs:
         return None
     good = np.array(list(runs), dtype=np.int64)
 

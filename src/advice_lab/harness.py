@@ -279,12 +279,11 @@ def compress_trial(f: PermutationOracle, family, R, params) -> dict:
     return record
 
 
-def cmd_compress(n: int, delta: float, c: float, trials: int, seed: int,
-                 min_good: int = 1) -> ResultTable:
+def cmd_compress(n: int, delta: float, c: float, trials: int, seed: int) -> ResultTable:
     config = {"command": "compress", "n": n, "delta": delta, "c": c,
-              "min_good": min_good, "trials": trials, "seed": seed}
-    params = compress_mod.CompressionParams(delta=delta, c=c, min_good=min_good)
-    family = LookupInversion(verify=True)
+              "trials": trials, "seed": seed}
+    params = compress_mod.CompressionParams(delta=delta, c=c)
+    family = LookupInversion()
     f = PermutationOracle(stream_rng(seed, 0).permutation(n))
     _, probe = compress_mod.prepare(f, family)
 
@@ -469,7 +468,7 @@ def eq2_trials(trials: int, seed: int) -> list:
         elif kind in ("lookup", "hellman"):
             n = 16
             f = PermutationOracle(rng.permutation(n))
-            family = LookupInversion(verify=True) if kind == "lookup" else HellmanInversion(s=2)
+            family = LookupInversion() if kind == "lookup" else HellmanInversion(s=2)
             _, alg = compress_mod.prepare(f, family)
             _, trace = run(alg, f, int(rng.integers(n)))
         elif kind in ("parity", "box-grover"):

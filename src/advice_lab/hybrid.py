@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .qsim import (
 from .util import bitstring, int_to_bits, stream_rng
 
 SWAP_TOL = 1e-9
+EXPECTATION_SAMPLES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -40,12 +41,19 @@ SWAP_TOL = 1e-9
 @dataclass(frozen=True)
 class AdvicePartition:
     """The n-bit strings (ints, bit z = position z) a parity scheme maps to
-    alpha: a coset of the kernel of the m group-parity maps."""
+    alpha, one 0/1 character per group of ``group_boundaries(n, m)``, m =
+    len(alpha): a coset of the kernel of the m group-parity maps."""
 
     n: int
-    advice_bits: int
     alpha: str
-    starts: tuple  # group start indices, starts[0] == 0
+    starts: tuple = field(init=False, repr=False)  # the m group starts, starts[0] == 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "starts", tuple(group_boundaries(self.n, len(self.alpha)).tolist()))
+
+    @property
+    def advice_bits(self) -> int:
+        return len(self.alpha)
 
     @property
     def size(self) -> int:
@@ -72,14 +80,10 @@ class ParityAdviceScheme:
 
     m: int
 
-    def pad_for(self, bits) -> ParityPad:
-        return parity_preprocess(bits, self.m)
-
     def partition(self, n: int, alpha: str) -> AdvicePartition:
         if len(alpha) != self.m or not set(alpha) <= {"0", "1"}:
             raise ValueError(f"advice must be {self.m} characters of 0/1, got {alpha!r}")
-        starts = tuple(int(s) for s in group_boundaries(n, self.m))
-        return AdvicePartition(n, self.m, alpha, starts)
+        return AdvicePartition(n, alpha)
 
 
 def _checked_window(window: Sequence[int], n: int) -> list[int]:
@@ -95,12 +99,15 @@ def collision_in_window(strings, window: Sequence[int], n: int) -> tuple[int, in
     Bucketing on the coordinates outside the window has only 2^(n - |window|)
     possible keys, so a set larger than that must collide.  Deterministic:
     strings are scanned in increasing order and the first bucket collision is
-    returned.
+    returned.  ValueError for a string outside [0, 2^n).
     """
     window = _checked_window(window, n)
+    xs = sorted(int(v) for v in strings)
+    if xs and not 0 <= xs[0] <= xs[-1] < 1 << n:
+        raise ValueError(f"string outside [0, 2^{n})")
     outside_mask = ((1 << n) - 1) ^ sum(1 << i for i in window)
     buckets: dict[int, int] = {}
-    for x in sorted(int(v) for v in strings):
+    for x in xs:
         key = x & outside_mask
         if key in buckets:
             return buckets[key], x
@@ -186,15 +193,17 @@ class ExpectationReport:
 
 
 def expectation_check(totals: np.ndarray, j: int, num_queries: int,
-                      rng: np.random.Generator, samples: int = 10_000) -> ExpectationReport:
+                      rng: np.random.Generator) -> ExpectationReport:
+    """EXPECTATION_SAMPLES positions drawn uniformly from those other than j."""
     n = len(totals)
-    zs = rng.integers(0, n - 1, size=samples)
+    zs = rng.integers(0, n - 1, size=EXPECTATION_SAMPLES)
     zs = zs + (zs >= j)
     draws = totals[zs]
     mean = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / math.sqrt(samples))
+    stderr = float(draws.std(ddof=1) / math.sqrt(EXPECTATION_SAMPLES))
     expected = num_queries / (n - 1)
-    return ExpectationReport(mean=mean, expected=expected, stderr=stderr, samples=samples,
+    return ExpectationReport(mean=mean, expected=expected, stderr=stderr,
+                             samples=EXPECTATION_SAMPLES,
                              within_3se=abs(mean - expected) <= 3 * stderr + 1e-12)
 
 
@@ -241,7 +250,7 @@ def box_experiment(n: int, scheme: ParityAdviceScheme,
     for t in range(trials):
         rng = stream_rng(seed, t)
         j = int(rng.integers(n))
-        pad = scheme.pad_for(rng.integers(0, 2, size=n))
+        pad = parity_preprocess(rng.integers(0, 2, size=n), m)
         part = scheme.partition(n, bitstring(pad.parities))
         window = tuple(sorted(int(i) for i in rng.choice(n, size=m + 1, replace=False)))
         x, y = part.collision(window)

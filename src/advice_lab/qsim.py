@@ -185,7 +185,8 @@ class PermutationOracle(FunctionOracle):
 class BitStringOracle:
     """An N-bit string; queries XOR bit x_j into a two-dimensional answer
     register.  An optional forbidden index rejects any query touching it.
-    Bits are read by ``util.bit_array``."""
+    Bits are read by ``util.bit_array``; TypeError for a forbidden index that
+    is not an integer."""
 
     bits: np.ndarray
     forbidden: Optional[int] = None
@@ -195,8 +196,11 @@ class BitStringOracle:
         object.__setattr__(self, "bits", bits)
         if len(bits) < 2:
             raise ValueError("need at least two positions")
-        if self.forbidden is not None and not 0 <= self.forbidden < len(bits):
-            raise ValueError("forbidden index out of range")
+        if self.forbidden is not None:
+            forbidden = operator.index(self.forbidden)
+            if not 0 <= forbidden < len(bits):
+                raise ValueError("forbidden index out of range")
+            object.__setattr__(self, "forbidden", forbidden)
 
     @property
     def num_positions(self) -> int:
@@ -462,13 +466,12 @@ def grover_spec(n_elements: int, iterations: int) -> AlgorithmSpec:
                               lambda _run_input: np.ones(n_elements, dtype=bool), derive)
 
 
-def grover_invert(f: PermutationOracle, y: int, iterations: Optional[int] = None):
-    """Amplify the preimage of y under f; returns (candidate, exact success
-    probability of the candidate, trace)."""
+def grover_invert(f: PermutationOracle, y: int):
+    """Amplify the preimage of y under f for default_grover_iterations(N)
+    rounds; returns (candidate, exact success probability of the candidate,
+    trace).  Other round counts run as ``run(grover_spec(N, k), f, y)``."""
     n = f.num_positions
-    if iterations is None:
-        iterations = default_grover_iterations(n)
-    alg = grover_spec(n, iterations)
+    alg = grover_spec(n, default_grover_iterations(n))
     final, trace = run(alg, f, y)
     candidate, p, _ = top_two(final)
     return candidate, p, trace

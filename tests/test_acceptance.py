@@ -186,7 +186,7 @@ def test_criterion_10_collision_finder():
 
 
 def test_criterion_11_box_expectation():
-    n, samples = 16, 10_000
+    n = 16
     rng = stream_rng(SEED, 11)
     details = []
     ok = True
@@ -200,7 +200,7 @@ def test_criterion_11_box_expectation():
         j = int(rng.integers(n))
         alg = factory(bits, j)
         _, trace = run(alg, BitStringOracle(bits, forbidden=j), j)
-        rep = expectation_check(trace.totals, j, alg.num_queries, rng, samples)
+        rep = expectation_check(trace.totals, j, alg.num_queries, rng)
         ok = ok and rep.within_3se
         details.append(f"{name}: mean {rep.mean:.4f} vs {rep.expected:.4f} "
                        f"(se {rep.stderr:.4f})")

@@ -98,7 +98,7 @@ class TestLookupFamily:
     def test_advice_is_inverse_table(self):
         rng = np.random.default_rng(5)
         f = PermutationOracle(rng.permutation(16))
-        family = LookupInversion(verify=True)
+        family = LookupInversion()
         advice = family.preprocess(f)
         assert len(advice) == 16 * 4
         alg = family.spec(advice, 16)
@@ -109,16 +109,6 @@ class TestLookupFamily:
             assert int(f.table[x]) == y
             assert trace.totals[x] == 1.0
             assert trace.totals.sum() == 1.0
-
-    def test_query_free_variant(self):
-        f = PermutationOracle(np.random.default_rng(6).permutation(8))
-        family = LookupInversion(verify=False)
-        alg = family.spec(family.preprocess(f), 8)
-        assert alg.num_queries == 0
-        final, trace = run(alg, f, 5)
-        assert np.allclose(trace.totals, 0)
-        assert int(np.argmax(measurement_distribution(final, "position"))) == int(
-            np.flatnonzero(f.table == 5)[0])
 
     def test_rejects_wrong_advice_length(self):
         with pytest.raises(ValueError):

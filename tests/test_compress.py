@@ -238,8 +238,6 @@ class TestParamsAndSampling:
             CompressionParams(delta=0.0, c=0.5)
         with pytest.raises(ValueError):
             CompressionParams(delta=0.5, c=1.0)
-        with pytest.raises(ValueError):
-            CompressionParams(delta=0.5, c=0.5, min_good=0)
 
     def test_regime_flags(self):
         tuned = CompressionParams(delta=0.2, c=0.001)
@@ -432,10 +430,10 @@ class TestEncodeDecode:
         self.params = CompressionParams(delta=0.2, c=0.001)
 
     def test_identity_instance_by_hand(self):
-        # identity on [4], query-free lookup, R = {0,1}: everything sampled is
-        # good and every rank collapses to zero
+        # identity on [4], lookup, R = {0,1}: each run queries only its own
+        # element, so everything sampled is good and every rank collapses to zero
         f = PermutationOracle(np.arange(4))
-        family = LookupInversion(verify=False)
+        family = LookupInversion()
         enc = encode(f, family, [0, 1], self.params)
         assert enc is not None
         assert enc.good_count == 2 and enc.r_size == 2
@@ -446,12 +444,27 @@ class TestEncodeDecode:
 
     def test_empty_sample_fails(self):
         f = PermutationOracle(np.arange(4))
-        assert encode(f, LookupInversion(verify=False), [], self.params) is None
+        assert encode(f, LookupInversion(), [], self.params) is None
+
+    def test_encode_fails_exactly_when_no_element_is_good(self):
+        family, params = HellmanInversion(2), CompressionParams(delta=0.9, c=0.001)
+        outcomes = set()
+        for t in range(40):
+            rng = stream_rng(31, t)
+            f = PermutationOracle(rng.permutation(16))
+            R = rng.choice(16, size=int(rng.integers(1, 4)), replace=False)
+            good = good_set(f, family, R, params)
+            enc = encode(f, family, R, params)
+            assert (enc is None) == (len(good) == 0)
+            if enc is not None:
+                assert enc.good_count == len(good)
+            outcomes.add(enc is None)
+        assert outcomes == {True, False}
 
     def test_length_identity_on_every_success(self):
         rng = np.random.default_rng(12)
         f = PermutationOracle(rng.permutation(16))
-        family = LookupInversion(verify=True)
+        family = LookupInversion()
         for t in range(30):
             R = sample_R(16, 0.3, 1, stream_rng(99, t))
             enc = encode(f, family, R, self.params)
@@ -469,7 +482,7 @@ class TestEncodeDecode:
 
     def test_roundtrip_frequency(self):
         f = PermutationOracle(np.random.default_rng(13).permutation(16))
-        family = LookupInversion(verify=True)
+        family = LookupInversion()
         exact = 0
         for t in range(40):
             R = sample_R(16, 0.2, 1, stream_rng(7, 1, t))
@@ -502,14 +515,14 @@ class TestEncodeDecode:
 
     def test_decode_rejects_wrong_sample_size(self):
         f = PermutationOracle(np.arange(8))
-        family = LookupInversion(verify=False)
+        family = LookupInversion()
         enc = encode(f, family, [1, 2], self.params)
         with pytest.raises(CorruptEncodingError):
             decode(enc, [1, 2, 3], family)
 
     def test_decode_rejects_corrupt_rank(self):
         f = PermutationOracle(np.arange(8))
-        family = LookupInversion(verify=False)
+        family = LookupInversion()
         enc = encode(f, family, [1, 2], self.params)
         bad = Encoding(enc.num_elements, enc.advice, enc.good_count, enc.r_size,
                        math.comb(8, 2), enc.outer_rank, enc.fG_rank, enc.inner_rank)
@@ -518,7 +531,7 @@ class TestEncodeDecode:
 
     def test_ambiguous_output_rejected(self):
         f = PermutationOracle(np.arange(8))
-        helper = LookupInversion(verify=False)
+        helper = LookupInversion()
         enc = encode(f, helper, [1, 2], self.params)
         with pytest.raises(AmbiguousDecodeError) as failure:
             decode(enc, [1, 2], toy_uniform_family())
@@ -528,7 +541,7 @@ class TestEncodeDecode:
     def test_wrong_preimage_rejected(self):
         # a constant algorithm lands outside R, which decode must refuse
         f = PermutationOracle(np.arange(8))
-        helper = LookupInversion(verify=False)
+        helper = LookupInversion()
         enc = encode(f, helper, [1, 2], self.params)
         with pytest.raises(DecodeFailure) as failure:
             decode(enc, [1, 2], toy_constant_family(6))
@@ -536,7 +549,7 @@ class TestEncodeDecode:
 
     def test_corrupt_inner_rank_raises_before_any_run(self, monkeypatch):
         f = PermutationOracle(np.arange(8))
-        family = LookupInversion(verify=False)
+        family = LookupInversion()
         enc = encode(f, family, [1, 2], self.params)
         assert enc.good_count == 2  # so decode has images to run
         bad = dataclasses.replace(enc, inner_rank=math.factorial(enc.r_size - enc.good_count))
@@ -581,7 +594,7 @@ class TestEncodeDecode:
             with pytest.raises(CorruptEncodingError, match="positive pair count"):
                 decode(dataclasses.replace(enc, advice=enc.advice[:i]), R, family)
 
-    @pytest.mark.parametrize("family", [LookupInversion(verify=True), HellmanInversion(s=1),
+    @pytest.mark.parametrize("family", [LookupInversion(), HellmanInversion(s=1),
                                         HellmanInversion(s=2), GroverInversion()],
                              ids=lambda family: family.name)
     def test_finals_are_the_runs_against_the_hybrid_oracle(self, family):
@@ -610,7 +623,7 @@ class TestEncodeDecode:
 
     def test_h_closeness_for_good_elements(self):
         f = PermutationOracle(np.random.default_rng(16).permutation(16))
-        family = LookupInversion(verify=True)
+        family = LookupInversion()
         advice = family.preprocess(f)
         alg = family.spec(advice, 16)
         R = [2, 6, 7, 13]
@@ -746,7 +759,7 @@ class TestCorruptAdvice:
 class TestEnvelope:
     def _encoding(self, advice_bits=64):
         f = PermutationOracle(np.random.default_rng(19).permutation(16))
-        family = LookupInversion(verify=True)
+        family = LookupInversion()
         enc = encode(f, family, [3, 5, 8], CompressionParams(delta=0.2, c=0.001))
         assert enc is not None
         return dataclasses.replace(enc, advice=enc.advice[:advice_bits])

@@ -1,5 +1,6 @@
 """Experiment commands: invariant flags, reproducibility, CLI surface."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -13,10 +14,11 @@ import pytest
 
 from advice_lab import compress, harness, qsim
 from advice_lab.adapters import GroverInversion, HellmanInversion
-from advice_lab.cli import main
+from advice_lab.cli import build_parser, main
 from advice_lab.qsim import PermutationOracle
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 class TestCommands:
@@ -97,7 +99,7 @@ class TestReproducibility:
         "hellman": (lambda: harness.cmd_hellman(64, [4, 8], 2, 0),
                     "ebc8c966c667e7801dc9736d9b95b40939d2ba32004a5af10c1f2e12a7824fb4"),
         "compress": (lambda: harness.cmd_compress(16, 0.2, 0.001, 10, 0),
-                     "5a025a1fa2e7884ff386f89e14226ebfce12c802d69ae3600f2bc9c2aec838e5"),
+                     "37b88bb9e77402a1daaaa5f83eb4c92dc6e6e0fba7f853a22120135b7426a88a"),
         "verify": (lambda: harness.cmd_verify("all", 10, 0),
                    "a8d65616be8d0e3c352cfcbb7cbb086bd45419fdfbf9d1ece14ed3cbb9f60129"),
     }
@@ -297,6 +299,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "trial count" in captured.err
+
+    @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+    def test_common_flags_line_lists_every_option(self, doc):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {flag for sub in subparsers.choices.values() for action in sub._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for flag in action.option_strings}
+        line = next(line for line in (ROOT / doc).read_text().splitlines()
+                    if line.startswith("Common flags:"))
+        assert set(line.split("`")[1].split()) == options
+
+    def test_min_good_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["compress", "--min-good", "1"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --min-good" in capsys.readouterr().err
 
     def test_compress_flags(self, tmp_path):
         out = tmp_path / "c.csv"

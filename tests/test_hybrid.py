@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from advice_lab.adapters import haar_scrambler, masked_box_grover, parity_box_algorithm
-from advice_lab.advice import group_boundaries
+from advice_lab.advice import group_boundaries, parity_preprocess
 from advice_lab.hybrid import (
+    AdvicePartition,
     ParityAdviceScheme,
     box_experiment,
     collision_in_window,
@@ -57,7 +58,7 @@ def enumerate_class(n, m, alpha):
 
 def advice_of(scheme, x, n):
     """Advice string of an n-bit int of any size."""
-    return bitstring(scheme.pad_for([(x >> i) & 1 for i in range(n)]).parities)
+    return bitstring(parity_preprocess([(x >> i) & 1 for i in range(n)], scheme.m).parities)
 
 
 def perturbation_instance(rng):
@@ -119,6 +120,12 @@ class TestCollisionFinder:
             assert {x, y} <= set(int(v) for v in members)
             assert brute_force_pair(members, window, n) is not None
 
+    @pytest.mark.parametrize("strings, window", [([1, 9], [1]), ([-8, 0], [0])],
+                             ids=["past-2^n", "negative"])
+    def test_rejects_strings_outside_n_bits(self, strings, window):
+        with pytest.raises(ValueError, match="outside"):
+            collision_in_window(strings, window, 3)
+
     def test_rejects_when_no_pair_exists(self):
         # too small a set, all pairwise different outside the window
         with pytest.raises(ValueError):
@@ -135,6 +142,12 @@ class TestParityPartitions:
             x, y = part.collision(window)
             assert x < y and agree_outside(x, y, window, n)
             assert advice_of(scheme, x, n) == advice_of(scheme, y, n) == "10"
+
+    def test_partition_derives_its_group_starts(self):
+        part = AdvicePartition(10, "101")
+        assert (part.starts, part.advice_bits, part.size) == ((0, 4, 7), 3, 2 ** 7)
+        with pytest.raises(ValueError, match="1 <= m < N"):
+            AdvicePartition(3, "010")
 
     def test_partitions_cover_everything(self):
         scheme = ParityAdviceScheme(3)
@@ -188,7 +201,6 @@ class TestParityPartitions:
 
 class TestVerifySwapping:
     def test_identical_oracles(self):
-        from advice_lab.advice import parity_preprocess
         bits = np.random.default_rng(1).integers(0, 2, size=8)
         pad_alg = parity_box_algorithm(parity_preprocess(bits, 2), 3)
         rep = verify_swapping(pad_alg, BitStringOracle(bits, forbidden=3),
@@ -197,7 +209,6 @@ class TestVerifySwapping:
         assert rep.delta_set == ()
 
     def test_adapter_avoiding_the_difference(self):
-        from advice_lab.advice import parity_preprocess
         bits = np.zeros(8, dtype=int)
         other = bits.copy()
         other[6] = 1  # group 1; the adapter for j in group 0 never reads it
@@ -281,13 +292,11 @@ class TestExpectationCheck:
     def test_full_read_adapter_has_unit_mean(self):
         # one group covering everything: every allowed position is read once,
         # so the sampled mean is exactly T/(N-1) = 1
-        from advice_lab.advice import parity_preprocess
         bits = np.random.default_rng(4).integers(0, 2, size=16)
         pad = parity_preprocess(bits, 1)
         alg = parity_box_algorithm(pad, 9)
         _, trace = run(alg, BitStringOracle(bits, forbidden=9), 9)
-        rep = expectation_check(trace.totals, 9, alg.num_queries,
-                                np.random.default_rng(5), samples=2000)
+        rep = expectation_check(trace.totals, 9, alg.num_queries, np.random.default_rng(5))
         assert rep.expected == 1.0
         assert rep.mean == 1.0
         assert rep.within_3se

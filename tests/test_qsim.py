@@ -115,7 +115,8 @@ class TestLayoutAndState:
         lambda: FunctionOracle([0.0, 1.0]),
         lambda: BitStringOracle([0.5, 1.0]),
         lambda: BitStringOracle(np.array([0.0, 1.0, 1.0])),
-    ], ids=["permutation", "function", "bits-list", "bits-float-array"])
+        lambda: BitStringOracle([0, 1, 1], forbidden=1.5),
+    ], ids=["permutation", "function", "bits-list", "bits-float-array", "forbidden-float"])
     def test_oracles_reject_non_integer_entries(self, make):
         with pytest.raises(TypeError):
             make()
@@ -569,7 +570,8 @@ class TestGroverInversion:
 
     def test_zero_iterations_at_two(self):
         f = PermutationOracle(np.array([1, 0]))
-        _, prob, trace = grover_invert(f, 0, iterations=0)
+        final, trace = run(grover_spec(2, 0), f, 0)
+        _, prob, _ = top_two(final)
         assert abs(prob - 0.5) < 1e-12
         assert trace.num_queries == 0
 
