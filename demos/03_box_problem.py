@@ -18,9 +18,10 @@ def main():
     print(f"  BOX GAME AT N={n}, ADVICE = {m} PARITY BITS")
     print("=" * 72)
 
-    part = scheme.partition(n, "10")
-    print(f"\n  advice class '10' holds exactly 2^(N-m) = {part.size} of {2 ** n} strings,")
-    print("  a coset of the kernel of the group-parity maps")
+    pad = scheme.partition(n, "10")
+    print("\n  advice class '10' is the pad with parities 1, 0; it holds exactly")
+    print(f"  2^(N-m) = {1 << pad.log2_class_size} of {2 ** n} strings, "
+          "a coset of the kernel of the group-parity maps")
 
     result = box_experiment(n, scheme, parity_box_algorithm, trials=12, seed=2024)
     print(f"\n  {'j':>2} {'window':>10} {'pair (x, y)':>22} {'bound':>8} "

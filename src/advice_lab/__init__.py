@@ -50,7 +50,6 @@ from .adapters import (
     parity_box_algorithm,
 )
 from .hybrid import (
-    AdvicePartition,
     BoxExperimentResult,
     ParityAdviceScheme,
     SwapReport,

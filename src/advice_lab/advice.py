@@ -1,10 +1,10 @@
 """Classical precomputed-advice constructions with measured size/query accounting.
 
 Two structures live here: per-group parity pads, which answer single-bit
-queries about a string while skipping one index, and anchor tables built from
-iterates of a permutation, which invert it with a bounded number of forward
-evaluations.  Both carry exact bit-size accounting; anchor tables also
-round-trip through JSON.
+queries about a string while skipping one index and are the advice classes
+of the box problem, and anchor tables built from iterates of a permutation,
+which invert it with a bounded number of forward evaluations.  Both carry
+exact bit-size accounting; anchor tables also round-trip through JSON.
 Each structure's reads, walk and advice bits are defined here once; the
 statevector adapters embed these same definitions.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -30,7 +29,7 @@ class CorruptTableError(RuntimeError):
 # Parity pads
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParityPad:
     """One parity bit for each of m = len(parities) contiguous groups of [N].
 
@@ -38,6 +37,11 @@ class ParityPad:
     groups larger when N is not a multiple of m, so the first group always has
     the maximal size ceil(N/m).  Parities are read by ``util.bit_array``;
     ValueError unless 1 <= m < N.
+
+    A pad is also its advice class: the N-bit strings (ints, bit z = position
+    z) whose group parities it records, a coset of the kernel of the m
+    group-parity maps holding exactly 2^(N-m) strings.  Two pads are equal
+    when they have the same N and parities.
     """
 
     num_positions: int
@@ -49,13 +53,22 @@ class ParityPad:
         object.__setattr__(self, "parities", parities)
         object.__setattr__(self, "starts", group_boundaries(self.num_positions, len(parities)))
 
+    def _key(self) -> tuple[int, bytes]:
+        return self.num_positions, self.parities.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, ParityPad) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def m(self) -> int:
         return len(self.parities)
 
     @property
-    def bit_size(self) -> int:
-        return self.m
+    def log2_class_size(self) -> int:
+        return self.num_positions - self.m
 
     def group_of(self, j: int) -> int:
         return int(np.searchsorted(self.starts, j, side="right")) - 1
@@ -73,6 +86,30 @@ class ParityPad:
         k = self.group_of(j)
         lo, hi = self.group_bounds(k)
         return np.r_[lo:j, j + 1:hi], int(self.parities[k])
+
+    def collision(self, window) -> tuple[int, int]:
+        """The pair ``hybrid.collision_in_window`` finds in the class, in
+        O(N): p is the least window index that is not its group's first window
+        index w0.  The larger string is the least one in the class with bit p
+        set; the smaller flips its bits p and w0, which keeps every group
+        parity.  The window is read by ``read_window``."""
+        window = read_window(window, self.num_positions)
+        groups = [self.group_of(i) for i in window]
+        k = next((k for k in range(1, len(window)) if groups[k] == groups[k - 1]), None)
+        if k is None:
+            raise ValueError("no collision: the window holds at most one index per group")
+        least = sum(1 << lo for lo in self.starts[self.parities == 1].tolist())
+        base = least ^ (1 << int(self.starts[groups[k]]))
+        return base ^ (1 << window[k - 1]), base ^ (1 << window[k])
+
+
+def read_window(window, n: int) -> list[int]:
+    """A window of coordinates of [n], sorted with repeats dropped.  Indices
+    are read by ``util.int_array``; ValueError for one outside [0, n)."""
+    window = np.unique(int_array(window)).tolist()
+    if window and not 0 <= window[0] <= window[-1] < n:
+        raise ValueError("window index out of range")
+    return window
 
 
 def group_boundaries(n: int, m: int) -> np.ndarray:
@@ -303,14 +340,15 @@ def hellman_walk(anchors: dict[int, int], y: int):
 
 
 def hellman_invert(y: int, table: HellmanTable, f) -> tuple[int, int]:
-    """Drive hellman_walk for y against f until it parks on the preimage.
-    Returns (x, evaluations of f); the count stays within 2s + 2.  Raises
-    CorruptTableError once 2N + 1 evaluations pass without parking."""
-    fn = _as_fn(f)
+    """Drive hellman_walk for y against f (a PermutationOracle or its table)
+    until it parks on the preimage.  Returns (x, evaluations of f); the count
+    stays within 2s + 2.  Raises CorruptTableError once 2N + 1 evaluations
+    pass without parking."""
+    images = _as_table(f)
     transition = hellman_walk(table.anchors, y)
     pos, _, work = transition(0, 0, 0, 0)
     for calls in range(1, 2 * table.num_positions + 2):
-        ans = fn(pos)
+        ans = int(images[pos])
         if work == 1 and ans == y:
             return pos, calls
         pos, _, work = transition(calls, pos, ans, work)
@@ -354,9 +392,3 @@ def _as_table(f) -> np.ndarray:
         return f.table
     return int_array(f)
 
-
-def _as_fn(f) -> Callable[[int], int]:
-    if callable(f):
-        return f
-    table = _as_table(f)
-    return lambda z: int(table[z])

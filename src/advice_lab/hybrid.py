@@ -9,14 +9,14 @@ adversarial oracle pairs.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .advice import ParityPad, group_boundaries, parity_preprocess
+from .advice import ParityPad, parity_preprocess, read_window
 from .qsim import (
     AlgorithmSpec,
     BitStringOracle,
@@ -28,51 +28,15 @@ from .qsim import (
     run,
     tv_distance,
 )
-from .util import bitstring, int_to_bits, stream_rng
+from .util import bitstring, int_to_bits, parse_bitstring, stream_rng
 
 SWAP_TOL = 1e-9
 EXPECTATION_SAMPLES = 10_000
 
 
 # ---------------------------------------------------------------------------
-# Advice partitions
+# Advice classes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdvicePartition:
-    """The n-bit strings (ints, bit z = position z) a parity scheme maps to
-    alpha, one 0/1 character per group of ``group_boundaries(n, m)``, m =
-    len(alpha): a coset of the kernel of the m group-parity maps."""
-
-    n: int
-    alpha: str
-    starts: tuple = field(init=False, repr=False)  # the m group starts, starts[0] == 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "starts", tuple(group_boundaries(self.n, len(self.alpha)).tolist()))
-
-    @property
-    def advice_bits(self) -> int:
-        return len(self.alpha)
-
-    @property
-    def size(self) -> int:
-        return 1 << (self.n - self.advice_bits)
-
-    def collision(self, window: Sequence[int]) -> tuple[int, int]:
-        """The pair collision_in_window finds in the class, in O(N): p is the
-        least window index that is not its group's first window index w0.  The
-        larger string is the least one in the class with bit p set; the smaller
-        flips its bits p and w0, which keeps every group parity."""
-        window = _checked_window(window, self.n)
-        groups = [bisect.bisect_right(self.starts, i) - 1 for i in window]
-        k = next((k for k in range(1, len(window)) if groups[k] == groups[k - 1]), None)
-        if k is None:
-            raise ValueError("no collision: the window holds at most one index per group")
-        least = sum(1 << lo for lo, a in zip(self.starts, self.alpha) if a == "1")
-        base = least ^ (1 << self.starts[groups[k]])
-        return base ^ (1 << window[k - 1]), base ^ (1 << window[k])
-
 
 @dataclass(frozen=True)
 class ParityAdviceScheme:
@@ -80,17 +44,12 @@ class ParityAdviceScheme:
 
     m: int
 
-    def partition(self, n: int, alpha: str) -> AdvicePartition:
+    def partition(self, n: int, alpha: str) -> ParityPad:
+        """The class of advice alpha, one 0/1 character per group: the pad
+        that records those parities."""
         if len(alpha) != self.m or not set(alpha) <= {"0", "1"}:
             raise ValueError(f"advice must be {self.m} characters of 0/1, got {alpha!r}")
-        return AdvicePartition(n, alpha)
-
-
-def _checked_window(window: Sequence[int], n: int) -> list[int]:
-    window = sorted(set(int(i) for i in window))
-    if any(not 0 <= i < n for i in window):
-        raise ValueError("window index out of range")
-    return window
+        return ParityPad(n, parse_bitstring(alpha))
 
 
 def collision_in_window(strings, window: Sequence[int], n: int) -> tuple[int, int]:
@@ -99,10 +58,11 @@ def collision_in_window(strings, window: Sequence[int], n: int) -> tuple[int, in
     Bucketing on the coordinates outside the window has only 2^(n - |window|)
     possible keys, so a set larger than that must collide.  Deterministic:
     strings are scanned in increasing order and the first bucket collision is
-    returned.  ValueError for a string outside [0, 2^n).
+    returned.  The window is read by ``advice.read_window``; TypeError for a
+    string that is not an integer, ValueError for one outside [0, 2^n).
     """
-    window = _checked_window(window, n)
-    xs = sorted(int(v) for v in strings)
+    window = read_window(window, n)
+    xs = sorted(operator.index(v) for v in strings)
     if xs and not 0 <= xs[0] <= xs[-1] < 1 << n:
         raise ValueError(f"string outside [0, 2^{n})")
     outside_mask = ((1 << n) - 1) ^ sum(1 << i for i in window)
@@ -126,7 +86,7 @@ def perturbation_bound(num_queries: int, mass: float) -> float:
     return 2.0 * math.sqrt(num_queries * mass)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwapReport:
     """One checked instance of the oracle-perturbation bound."""
 
@@ -241,7 +201,7 @@ def box_experiment(n: int, scheme: ParityAdviceScheme,
                    trials: int, seed: int) -> BoxExperimentResult:
     """Per trial: draw an N-bit string and its parity pad (the advice alpha its
     whole class shares), a random window of m + 1 coordinates (m = scheme.m)
-    and the pair AdvicePartition.collision builds there; check the perturbation
+    and the pair the pad's ``collision`` builds there; check the perturbation
     bound on the algorithm the factory builds from the pad."""
     m = scheme.m
     if not 1 <= m < n:
@@ -251,16 +211,15 @@ def box_experiment(n: int, scheme: ParityAdviceScheme,
         rng = stream_rng(seed, t)
         j = int(rng.integers(n))
         pad = parity_preprocess(rng.integers(0, 2, size=n), m)
-        part = scheme.partition(n, bitstring(pad.parities))
         window = tuple(sorted(int(i) for i in rng.choice(n, size=m + 1, replace=False)))
-        x, y = part.collision(window)
+        x, y = pad.collision(window)
         alg = algorithm_factory(pad, j)
         swap = verify_swapping(alg, BitStringOracle(int_to_bits(x, n), forbidden=j),
                                BitStringOracle(int_to_bits(y, n), forbidden=j), j)
         eq_bound = perturbation_bound(alg.num_queries, alg.num_queries * (m + 1) / (n - 1))
         expectation = expectation_check(swap.totals, j, alg.num_queries, rng)
         records.append(BoxTrialRecord(
-            trial=t, j=j, alpha=part.alpha, log2_class_size=n - m, window=window,
-            x=x, y=y, swap=swap, eq_bound=eq_bound, expectation=expectation,
+            trial=t, j=j, alpha=bitstring(pad.parities), log2_class_size=pad.log2_class_size,
+            window=window, x=x, y=y, swap=swap, eq_bound=eq_bound, expectation=expectation,
         ))
     return BoxExperimentResult(n, m, tuple(records))

@@ -90,7 +90,7 @@ class BasisLayout:
         return REGISTERS.index(register)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex amplitude vector over a BasisLayout."""
 
@@ -143,7 +143,7 @@ def _check_power_of_two(n: int):
         raise ValueError(f"XOR answers need a power-of-two range, got {n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionOracle:
     """An arbitrary map [N] -> [N], N = 2^n.  Queries XOR the n-bit value f(i)
     into the answer register.  Used for hybrid oracles that are constant on
@@ -181,7 +181,7 @@ class PermutationOracle(FunctionOracle):
             raise ValueError("table is not a permutation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitStringOracle:
     """An N-bit string; queries XOR bit x_j into a two-dimensional answer
     register.  An optional forbidden index rejects any query touching it.
@@ -268,7 +268,7 @@ def _position_mass(amps: np.ndarray, lay: BasisLayout) -> np.ndarray:
     return np.sum(np.abs(grid) ** 2, axis=(1, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryTrace:
     """Per-step and accumulated query magnitudes of one run."""
 

@@ -11,7 +11,7 @@ from advice_lab.adapters import (
     masked_box_grover,
     parity_box_algorithm,
 )
-from advice_lab.advice import hellman_build, hellman_invert, parity_preprocess
+from advice_lab.advice import hellman_build, hellman_invert, hellman_walk, parity_preprocess
 from advice_lab.compress import _inverts, prepare
 from advice_lab.qsim import (
     BasisLayout,
@@ -22,6 +22,18 @@ from advice_lab.qsim import (
     run,
 )
 from advice_lab.util import ceil_log2, int_to_bits
+
+
+def walk_evaluations(anchors, f, y):
+    """Reference: the elements the classical anchor walk for y evaluates f
+    at, in order, ending with the preimage it parks on."""
+    transition = hellman_walk(anchors, y)
+    pos, _, work = transition(0, 0, 0, 0)
+    evaluated = [pos]
+    while not (work == 1 and f[pos] == y):
+        pos, _, work = transition(len(evaluated), pos, int(f[pos]), work)
+        evaluated.append(pos)
+    return evaluated
 
 
 class TestParityBoxAdapter:
@@ -178,8 +190,9 @@ class TestHellmanFamily:
         family = HellmanInversion(s)
         alg = family.spec(family.preprocess(f), n)
         for y in range(n):
-            evaluated = []
-            x, calls = hellman_invert(y, table, lambda z: evaluated.append(z) or int(f.table[z]))
+            evaluated = walk_evaluations(table.anchors, f.table, y)
+            x, calls = hellman_invert(y, table, f)
+            assert (x, calls) == (evaluated[-1], len(evaluated))
             final, trace = run(alg, f, y)
             queried = np.argmax(trace.per_step, axis=1).tolist()
             assert evaluated == queried[:calls]

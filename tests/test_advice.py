@@ -159,9 +159,14 @@ class TestParityPad:
                     assert bit == answers[row, j]
                     assert count == counts[j]
 
-    def test_pad_bit_size(self):
+    def test_pad_compares_by_value(self):
         bits = np.random.default_rng(4).integers(0, 2, size=12)
-        assert parity_preprocess(bits, 5).bit_size == 5
+        pad = parity_preprocess(bits, 5)
+        assert (pad.m, pad.log2_class_size) == (5, 7)
+        assert pad == parity_preprocess(bits, 5) and hash(pad) == hash(parity_preprocess(bits, 5))
+        assert pad != parity_preprocess(bits, 4)
+        assert pad != ParityPad(13, pad.parities)
+        assert pad != pad.parities.tolist()
 
     def test_pad_derives_its_group_starts(self):
         pad = ParityPad(10, [1, 0, 1])

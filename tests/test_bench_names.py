@@ -1,9 +1,13 @@
-"""Guard: every library name the benchmark tracer wraps still exists.
+"""Guards: every library name the benchmark tracer wraps still exists, and
+every benchmark workload still runs against the library.
 
 ``perfbench/tracing.py`` replaces functions and methods of ``advice_lab`` by
 name.  Installing and removing its wrappers here makes the tier-1 suite fail
 when a library change removes or renames one of them, without running the
-benchmark's own tests (``python3 -m pytest -q perfbench``).
+benchmark's own tests (``python3 -m pytest -q perfbench``).  The workloads in
+``perfbench/workloads.py`` call the library directly; one in-process pass over
+each one's small pool makes the suite fail when a library change breaks one of
+those calls or its checks.
 """
 
 import importlib
@@ -36,3 +40,12 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert after.keys() == before.keys()
     for name, namespace in before.items():
         assert all(after[name].get(attr) is value for attr, value in namespace.items()), name
+
+
+def test_workloads_small_pools_pass(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        for index, inp in enumerate(workload.make_inputs(1, True)):
+            ok, _row = workload.trial(inp)
+            assert ok, f"{name} input {index}"

@@ -9,7 +9,6 @@ import pytest
 from advice_lab.adapters import haar_scrambler, masked_box_grover, parity_box_algorithm
 from advice_lab.advice import group_boundaries, parity_preprocess
 from advice_lab.hybrid import (
-    AdvicePartition,
     ParityAdviceScheme,
     box_experiment,
     collision_in_window,
@@ -22,6 +21,7 @@ from advice_lab.qsim import (
     AlgorithmSpec,
     BasisLayout,
     BitStringOracle,
+    FunctionOracle,
     PermutationOracle,
     PureState,
     default_grover_iterations,
@@ -126,6 +126,12 @@ class TestCollisionFinder:
         with pytest.raises(ValueError, match="outside"):
             collision_in_window(strings, window, 3)
 
+    @pytest.mark.parametrize("strings, window", [([1.5, 3.9], [0, 1]), ([0, 3], [0.9, 1.2])],
+                             ids=["string", "window"])
+    def test_rejects_non_integers(self, strings, window):
+        with pytest.raises(TypeError):
+            collision_in_window(strings, window, 3)
+
     def test_rejects_when_no_pair_exists(self):
         # too small a set, all pairwise different outside the window
         with pytest.raises(ValueError):
@@ -136,18 +142,22 @@ class TestParityPartitions:
     def test_class_sizes_and_membership(self):
         scheme = ParityAdviceScheme(2)
         n = 8
-        part = scheme.partition(n, "10")
-        assert part.size == 2 ** (n - 2)
+        pad = scheme.partition(n, "10")
+        assert pad.log2_class_size == n - 2
         for window in itertools.combinations(range(n), 3):
-            x, y = part.collision(window)
+            x, y = pad.collision(window)
             assert x < y and agree_outside(x, y, window, n)
             assert advice_of(scheme, x, n) == advice_of(scheme, y, n) == "10"
 
     def test_partition_derives_its_group_starts(self):
-        part = AdvicePartition(10, "101")
-        assert (part.starts, part.advice_bits, part.size) == ((0, 4, 7), 3, 2 ** 7)
+        pad = ParityAdviceScheme(3).partition(10, "101")
+        assert pad.starts.tolist() == [0, 4, 7] and pad.parities.tolist() == [1, 0, 1]
+        assert (pad.m, pad.log2_class_size) == (3, 7)
         with pytest.raises(ValueError, match="1 <= m < N"):
-            AdvicePartition(3, "010")
+            ParityAdviceScheme(3).partition(3, "010")
+        bits = np.random.default_rng(6).integers(0, 2, size=12)
+        drawn = parity_preprocess(bits, 3)
+        assert ParityAdviceScheme(3).partition(12, bitstring(drawn.parities)) == drawn
 
     def test_partitions_cover_everything(self):
         scheme = ParityAdviceScheme(3)
@@ -155,7 +165,7 @@ class TestParityPartitions:
         total = 0
         for key in range(8):
             alpha = format(key, "03b")[::-1]
-            total += scheme.partition(n, alpha).size
+            total += 1 << scheme.partition(n, alpha).log2_class_size
         assert total == 2 ** n
 
     def test_coset_pair_matches_enumeration(self):
@@ -165,11 +175,11 @@ class TestParityPartitions:
                 scheme = ParityAdviceScheme(m)
                 for key in range(1 << m):
                     alpha = format(key, f"0{m}b")
-                    part = scheme.partition(n, alpha)
+                    pad = scheme.partition(n, alpha)
                     members = enumerate_class(n, m, alpha)
-                    assert part.size == len(members)
+                    assert 1 << pad.log2_class_size == len(members)
                     for window in itertools.combinations(range(n), m + 1):
-                        assert part.collision(window) == collision_in_window(members, window, n)
+                        assert pad.collision(window) == collision_in_window(members, window, n)
                         cases += 1
         assert cases == 4880
 
@@ -179,10 +189,10 @@ class TestParityPartitions:
         scheme = ParityAdviceScheme(m)
         for _ in range(5):
             alpha = "".join(rng.choice(["0", "1"], size=m))
-            part = scheme.partition(n, alpha)
-            assert part.size == 2 ** (n - m)
+            pad = scheme.partition(n, alpha)
+            assert pad.log2_class_size == n - m
             window = sorted(int(i) for i in rng.choice(n, size=m + 1, replace=False))
-            x, y = part.collision(window)
+            x, y = pad.collision(window)
             assert x < y and agree_outside(x, y, window, n)
             assert advice_of(scheme, x, n) == advice_of(scheme, y, n) == alpha
 
@@ -192,11 +202,15 @@ class TestParityPartitions:
             ParityAdviceScheme(2).partition(8, alpha)
 
     def test_collision_rejects_bad_windows(self):
-        part = ParityAdviceScheme(2).partition(8, "01")
+        pad = ParityAdviceScheme(2).partition(8, "01")
         with pytest.raises(ValueError, match="out of range"):
-            part.collision([0, 1, 8])
+            pad.collision([0, 1, 8])
+        with pytest.raises(ValueError, match="out of range"):
+            pad.collision([-1, 0, 1])
         with pytest.raises(ValueError, match="no collision"):
-            part.collision([0, 4])  # one index in each group
+            pad.collision([0, 4])  # one index in each group
+        with pytest.raises(TypeError):
+            pad.collision([0.9, 1.2, 4])
 
 
 class TestVerifySwapping:
@@ -259,6 +273,23 @@ class TestVerifySwapping:
         with pytest.raises(ValueError):
             verify_swapping(alg, PermutationOracle(np.arange(4)),
                             BitStringOracle(np.array([0, 1, 0, 1])), 0)
+
+
+def test_types_holding_arrays_compare_by_identity():
+    def make():
+        bits = np.array([0, 1, 1, 0])
+        final, trace = run(grover_spec(4, 1), PermutationOracle(np.arange(4)), 1)
+        report = verify_swapping(masked_box_grover(4), BitStringOracle(bits, forbidden=0),
+                                 BitStringOracle(bits, forbidden=0), 0)
+        return (final, trace, FunctionOracle(np.arange(4)), PermutationOracle(np.arange(4)),
+                BitStringOracle(bits), report)
+
+    firsts, seconds = make(), make()
+    assert [type(a).__name__ for a in firsts] == [
+        "PureState", "QueryTrace", "FunctionOracle", "PermutationOracle", "BitStringOracle",
+        "SwapReport"]
+    for a, b in zip(firsts, seconds):
+        assert (a == a) is True and (a == b) is False and (a != b) is True
 
 
 class TestVerifyTv:
