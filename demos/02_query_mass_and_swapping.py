@@ -1,9 +1,10 @@
 """Query-magnitude accounting and the oracle-perturbation bound.
 
-Shows the per-step instrumentation on a classical adapter (magnitudes are a
-literal transcript) and on an amplification run (fractional mass), then
-perturbs oracles on small sets and compares the final-state movement to the
-hybrid lemma's 2 * sqrt(T * mass on the perturbed positions).
+Shows a run's per-position query totals on a classical adapter (whole query
+counts: the positions its transcript reads) and on amplification runs of 1, 2
+and 3 rounds (fractional mass gathering on the preimage), then perturbs
+oracles on small sets and compares the final-state movement to the hybrid
+lemma's 2 * sqrt(T * mass on the perturbed positions).
 """
 
 import numpy as np
@@ -21,28 +22,31 @@ from advice_lab import (
 
 def transcript_demo():
     print("-" * 72)
-    print("  classical adapter: the trace is the transcript")
+    print("  classical adapter: the totals count the transcript's reads")
     bits = np.array([1, 0, 1, 1, 0, 1, 0, 0])
     pad = parity_preprocess(bits, 2)
-    alg = parity_box_algorithm(pad, 2)
-    _, trace = run(alg, BitStringOracle(bits, forbidden=2), 2)
-    print(f"  string 10110100, two parity groups, recover index 2")
-    for t, row in enumerate(trace.per_step):
-        print(f"    query {t + 1}: reads position {int(np.argmax(row))}")
+    j = 2
+    alg = parity_box_algorithm(pad, j)
+    _, trace = run(alg, BitStringOracle(bits, forbidden=j), j)
+    others, pad_bit = pad.reads(j)
+    print(f"  string 10110100, two parity groups, recover index {j}")
+    print(f"  reads positions {others.tolist()} and pad bit {pad_bit}")
     print(f"  totals: {trace.totals}")
 
 
 def magnitude_demo():
     print("-" * 72)
-    print("  amplification run: fractional mass concentrates on the preimage")
+    print("  amplification runs: fractional mass gathers on the preimage")
     rng = np.random.default_rng(1)
     f = PermutationOracle(rng.permutation(8))
-    y = int(f.table[5])
-    _, trace = run(grover_spec(8, 2), f, y)
-    print("  per-step query magnitudes (rows sum to 1):")
-    for t, row in enumerate(trace.per_step):
-        print("    step %d: %s" % (t, np.array2string(row, precision=3)))
-    print(f"  total mass {trace.totals.sum():.6f} over T = {trace.num_queries} queries")
+    x = 5
+    y = int(f.table[x])
+    print(f"  per-position query totals after k rounds, preimage x = {x}:")
+    for k in (1, 2, 3):
+        _, trace = run(grover_spec(8, k), f, y)
+        print("    k = %d: %s  (sum %.6f, on x %.6f)"
+              % (k, np.array2string(trace.totals, precision=3), trace.totals.sum(),
+                 trace.totals[x]))
 
 
 def swapping_demo():

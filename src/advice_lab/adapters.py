@@ -2,9 +2,9 @@
 
 Classical deterministic algorithms are ``ClassicalSpec`` transitions that
 ``qsim.run`` executes as transcripts: each step moves one basis coordinate
-triple (position = next query, workspace = scratch), so per-step query
-magnitudes are exactly 0 or 1 and the trace of a run is the literal transcript
-of the classical execution.
+triple (position = next query, workspace = scratch), so each query puts mass
+1 on the position it reads and a run's totals count how often the classical
+execution read each position.
 
 Inversion algorithms come as families: ``preprocess`` turns an oracle into an
 advice bit string, ``spec`` rebuilds the runnable algorithm from those bits,

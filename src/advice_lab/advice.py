@@ -12,6 +12,7 @@ statevector adapters embed these same definitions.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -80,7 +81,8 @@ class ParityPad:
 
     def reads(self, j: int) -> tuple[np.ndarray, int]:
         """What answering bit j reads: the other positions of j's group, and
-        the group's pad bit."""
+        the group's pad bit.  TypeError for an index that is not an integer."""
+        j = operator.index(j)
         if not 0 <= j < self.num_positions:
             raise ValueError("index out of range")
         k = self.group_of(j)

@@ -7,15 +7,15 @@ applies arbitrary norm-preserving transformations of the full statevector; a
 classical program (``ClassicalSpec``) runs as its transcript, one coordinate
 triple moved by its transition, and ends in a ``BasisState`` that stores only
 those coordinates.  Every query step is instrumented: the squared amplitude
-mass sitting on each position right before the query is recorded, per step and
-accumulated over the run.
+mass sitting on each position right before the query is added into the run's
+per-position totals.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -240,17 +240,22 @@ def _gather_index(lay: BasisLayout, oracle: Oracle) -> np.ndarray:
     return grid[np.arange(lay.num_positions)[:, None], xor_cols, :].reshape(lay.dim)
 
 
-def _check_forbidden(magnitudes: np.ndarray, oracle: Oracle) -> None:
-    if oracle.forbidden is not None and magnitudes[oracle.forbidden] > FORBIDDEN_MASS_TOL:
-        raise ForbiddenIndexError(f"query magnitude {magnitudes[oracle.forbidden]:.3e} "
-                                  f"on forbidden position {oracle.forbidden}")
+def _check_forbidden(oracle: Oracle, step) -> None:
+    """Reject a query step with mass on the oracle's forbidden position; ``step``
+    is a dense step's position masses, or the position a transcript queries."""
+    j = oracle.forbidden
+    if j is None:
+        return
+    mass = step[j] if isinstance(step, np.ndarray) else float(step == j)
+    if mass > FORBIDDEN_MASS_TOL:
+        raise ForbiddenIndexError(f"query magnitude {mass:.3e} on forbidden position {j}")
 
 
 def apply_oracle(state: State, oracle: Oracle) -> PureState:
     """One query: basis state (i, a, w) maps to (i, a XOR table[i], w)."""
     _check_layout(state.layout, oracle)
     index = _gather_index(state.layout, oracle)
-    _check_forbidden(query_magnitudes(state), oracle)
+    _check_forbidden(oracle, query_magnitudes(state))
     return PureState(state.amplitudes[index], state.layout)
 
 
@@ -270,23 +275,19 @@ def _position_mass(amps: np.ndarray, lay: BasisLayout) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QueryTrace:
-    """Per-step and accumulated query magnitudes of one run."""
+    """A run's query magnitudes summed over its T steps: ``totals[i]`` adds up
+    the mass on position i right before each query."""
 
-    per_step: np.ndarray  # shape (T, N): row t = magnitudes right before query t+1
+    totals: np.ndarray  # shape (N,)
     num_queries: int
-    totals: np.ndarray = field(init=False)  # shape (N,)
 
     def __post_init__(self):
-        per_step = np.asarray(self.per_step, dtype=np.float64)
-        object.__setattr__(self, "per_step", per_step)
-        if per_step.shape[0] != self.num_queries:
-            raise ValueError("per-step rows must match the query count")
-        if per_step.size and per_step.min() < 0:
-            raise ValueError("negative query magnitude")
-        if per_step.size and per_step.sum(axis=1).max() > MASS_RANGE[1]:
-            raise ValueError("a step's magnitudes exceed unit mass")
-        totals = per_step.sum(axis=0) if per_step.size else np.zeros(per_step.shape[1])
+        totals = np.asarray(self.totals, dtype=np.float64)
         object.__setattr__(self, "totals", totals)
+        if totals.ndim != 1:
+            raise ValueError("totals must be one value per position")
+        if totals.size and not totals.min() >= 0:
+            raise ValueError("negative or NaN query magnitude")
         if totals.sum() > self.num_queries * MASS_RANGE[1]:
             raise ValueError("total query magnitude exceeds the query count")
 
@@ -334,22 +335,23 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, Quer
     """Execute: step 0, then T rounds of (record magnitudes, query, step).
 
     A ``ClassicalSpec`` run ends in a ``BasisState``, its final coordinates
-    (each transition must keep them inside the layout, or ValueError); any
-    other run ends in a dense ``PureState``.  A dense step's squared norm is
-    the sum of the position masses computed for it, and NonUnitaryStepError
-    is raised when that sum leaves MASS_RANGE."""
+    (each transition must keep them inside the layout, or ValueError), and
+    each query adds 1 to the total of the position it reads; any other run
+    ends in a dense ``PureState`` and adds each step's position masses into
+    the totals.  A dense step's squared norm is the sum of those masses, and
+    NonUnitaryStepError is raised when that sum leaves MASS_RANGE."""
     effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
     lay, num_queries = alg.layout, alg.num_queries
     _check_layout(lay, effective)
     step = alg.steps(run_input)
-    per_step = np.zeros((num_queries, lay.num_positions), dtype=np.float64)
+    totals = np.zeros(lay.num_positions, dtype=np.float64)
     if isinstance(alg, ClassicalSpec):
         pos, ans, work = lay.check(*step(0, 0, 0, 0))
         for t in range(num_queries):
-            per_step[t, pos] = 1.0
-            _check_forbidden(per_step[t], effective)
+            _check_forbidden(effective, pos)
+            totals[pos] += 1.0
             pos, ans, work = lay.check(*step(t + 1, pos, ans ^ int(effective.table[pos]), work))
-        return BasisState(lay, (pos, ans, work)), QueryTrace(per_step, num_queries)
+        return BasisState(lay, (pos, ans, work)), QueryTrace(totals, num_queries)
     index = _gather_index(lay, effective)
     amps = np.zeros(lay.dim, dtype=np.complex128)
     amps[0] = 1.0
@@ -361,10 +363,10 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, Quer
             raise NonUnitaryStepError(
                 f"step {t} of {alg.name} produced norm {math.sqrt(squared_norm)}")
         if t < num_queries:
-            per_step[t] = mass
-            _check_forbidden(mass, effective)
+            _check_forbidden(effective, mass)
+            totals += mass
             amps = amps[index]
-    return PureState(amps, lay), QueryTrace(per_step, num_queries)
+    return PureState(amps, lay), QueryTrace(totals, num_queries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,35 @@
+"""Fixtures shared by the simulator and adapter tests."""
+
+import numpy as np
+import pytest
+
+from advice_lab.adapters import pointmass_steps
+from advice_lab.qsim import (
+    ClassicalSpec,
+    PureState,
+    apply_oracle,
+    basis_state,
+    query_magnitudes,
+)
+
+
+def _reference_run(alg, oracle, run_input=None):
+    """The run loop assembled from the public per-query pieces: step,
+    PureState, query_magnitudes, then apply_oracle.  A classical spec's
+    transitions run as point-mass statevector steps.  Returns the final state
+    and the T x N magnitude rows, row t taken right before query t+1."""
+    effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
+    steps = pointmass_steps(alg.layout, alg.steps) if isinstance(alg, ClassicalSpec) else alg.steps
+    step = steps(run_input)
+    state = PureState(step(0, basis_state(alg.layout, 0).amplitudes), alg.layout)
+    rows = np.empty((alg.num_queries, alg.layout.num_positions))
+    for t in range(alg.num_queries):
+        rows[t] = query_magnitudes(state)
+        state = apply_oracle(state, effective)
+        state = PureState(step(t + 1, state.amplitudes), alg.layout)
+    return state, rows
+
+
+@pytest.fixture
+def reference_run():
+    return _reference_run

@@ -48,14 +48,16 @@ class TestParityBoxAdapter:
         answer = measurement_distribution(final, "workspace")
         assert answer[bits[2]] == 1.0
 
-    def test_per_step_magnitudes_are_zero_or_one(self):
+    def test_totals_count_each_read_once(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, size=16)
         pad = parity_preprocess(bits, 4)
         alg = parity_box_algorithm(pad, 5)
         _, trace = run(alg, BitStringOracle(bits, forbidden=5), 5)
-        assert set(np.unique(trace.per_step)) <= {0.0, 1.0}
-        assert trace.per_step.sum(axis=1).tolist() == [1.0] * alg.num_queries
+        expected = np.zeros(16)
+        expected[pad.reads(5)[0]] = 1.0
+        assert np.array_equal(trace.totals, expected)
+        assert trace.totals.sum() == alg.num_queries == 3
 
     def test_correct_for_every_index(self):
         rng = np.random.default_rng(1)
@@ -95,7 +97,6 @@ class TestMaskedBoxGrover:
         alg = masked_box_grover(16)
         _, trace = run(alg, BitStringOracle(bits, forbidden=3), 3)
         assert abs(trace.totals.sum() - alg.num_queries) < 1e-9
-        assert np.allclose(trace.per_step.sum(axis=1), 1.0)
 
     def test_uniform_mass_when_nothing_is_marked(self):
         # with an all-zero string the query is the identity, so the state stays
@@ -162,7 +163,7 @@ class TestHellmanFamily:
             x = int(np.argmax(dist))
             assert dist[x] == 1.0
             assert int(f.table[x]) == y
-            assert set(np.unique(trace.per_step)) <= {0.0, 1.0}
+            assert np.array_equal(trace.totals, np.rint(trace.totals))
             assert trace.totals.sum() == float(alg.num_queries)
 
     def test_identity_roundtrip_at_most_cycles(self):
@@ -182,9 +183,10 @@ class TestHellmanFamily:
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("s", [1, 2, 4])
-    def test_embedded_walk_matches_hellman_invert(self, n, s):
+    def test_embedded_walk_matches_hellman_invert(self, n, s, reference_run):
         # the classical inversion evaluates f exactly where the embedded run
-        # queries before it parks, and the run's final position is its answer
+        # queries before it parks, and the run's final position is its answer;
+        # the query order comes from the point-mass reference's rows
         f = PermutationOracle(np.random.default_rng(100 + n + s).permutation(n))
         table = hellman_build(f, s)
         family = HellmanInversion(s)
@@ -194,7 +196,9 @@ class TestHellmanFamily:
             x, calls = hellman_invert(y, table, f)
             assert (x, calls) == (evaluated[-1], len(evaluated))
             final, trace = run(alg, f, y)
-            queried = np.argmax(trace.per_step, axis=1).tolist()
+            _, ref_rows = reference_run(alg, f, y)
+            assert np.array_equal(trace.totals, ref_rows.sum(axis=0))
+            queried = np.argmax(ref_rows, axis=1).tolist()
             assert evaluated == queried[:calls]
             assert queried[calls:] == [x] * (alg.num_queries - calls)
             assert measurement_distribution(final, "position")[x] == 1.0
@@ -215,7 +219,8 @@ class TestHellmanFamily:
         alg = family.spec(family.preprocess(f), 16)
         _, first = run(alg, f, 3)
         _, again = run(alg, f, 3)
-        assert np.array_equal(first.per_step, again.per_step)
+        assert first.totals is not again.totals
+        assert np.array_equal(first.totals, again.totals)
 
 
 class TestGroverFamily:
@@ -236,5 +241,5 @@ class TestScrambler:
         fa, ta = run(alg_a, BitStringOracle(bits), 0)
         fb, tb = run(alg_b, BitStringOracle(bits), 0)
         assert np.array_equal(fa.amplitudes, fb.amplitudes)
-        assert np.array_equal(ta.per_step, tb.per_step)
+        assert np.array_equal(ta.totals, tb.totals)
         assert ta.totals.sum() <= 5 + 1e-9

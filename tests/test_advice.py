@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from advice_lab.adapters import parity_box_algorithm
 from advice_lab.advice import (
     CorruptTableError,
     HellmanTable,
@@ -197,6 +198,15 @@ class TestParityPad:
     def test_float_bits_raise_type_error(self, call):
         with pytest.raises(TypeError):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda pad: pad.reads(2.5),  # used to return positions [0., 1., 2., 3.5, 4.5]
+        lambda pad: parity_answer(2.5, pad, [1, 0, 0, 1, 1, 0, 1, 0, 0]),
+        lambda pad: parity_box_algorithm(pad, 2.5),  # used to fail only inside run
+    ], ids=["reads", "answer", "box-algorithm"])
+    def test_non_integer_index_raises_type_error(self, call):
+        with pytest.raises(TypeError):
+            call(ParityPad(9, [1, 0]))
 
     def test_bool_bits_read_as_integers(self):
         bits = np.array([True, False, True, True])

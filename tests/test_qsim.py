@@ -1,6 +1,8 @@
 """Core simulator: oracle application, instrumentation, measurement, Grover."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +13,10 @@ from advice_lab.adapters import (
     haar_scrambler,
     masked_box_grover,
     parity_box_algorithm,
-    pointmass_steps,
 )
 from advice_lab.advice import parity_preprocess
 from advice_lab.qsim import (
+    MASS_RANGE,
     AlgorithmSpec,
     BasisLayout,
     BasisState,
@@ -230,19 +232,28 @@ class TestQueryMagnitudes:
 
 
 class TestQueryTrace:
-    def test_totals_accumulate_per_step(self):
-        per_step = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 1.0, 0]])
-        trace = QueryTrace(per_step, 3)
-        assert np.allclose(trace.totals, [1, 2, 0])
-        assert trace.totals.sum() <= 3 + 1e-9
+    def test_holds_totals_and_query_count(self):
+        trace = QueryTrace([1, 2, 0], 3)
+        assert trace.totals.dtype == np.float64
+        assert np.array_equal(trace.totals, [1.0, 2.0, 0.0])
+        assert trace.num_queries == 3
+        assert [f.name for f in dataclasses.fields(QueryTrace)] == ["totals", "num_queries"]
 
-    def test_rejects_bad_rows(self):
-        with pytest.raises(ValueError):
-            QueryTrace(np.array([[0.7, 0.7]]), 1)
-        with pytest.raises(ValueError):
-            QueryTrace(np.array([[-0.1, 0.5]]), 1)
-        with pytest.raises(ValueError):
-            QueryTrace(np.zeros((2, 3)), 1)
+    def test_accepts_mass_up_to_the_tolerance(self):
+        QueryTrace(np.array([0.5, MASS_RANGE[1] - 0.5]), 1)
+        QueryTrace(np.zeros(3), 0)
+
+    def test_rejects_bad_totals(self):
+        with pytest.raises(ValueError, match="negative"):
+            QueryTrace(np.array([-0.1, 0.5]), 1)
+        with pytest.raises(ValueError, match="NaN"):
+            QueryTrace(np.array([np.nan, 0.5]), 1)
+        with pytest.raises(ValueError, match="exceeds the query count"):
+            QueryTrace(np.array([0.7, 0.7]), 1)
+        with pytest.raises(ValueError, match="exceeds the query count"):
+            QueryTrace(np.array([0.5, 0.5]), 0)
+        with pytest.raises(ValueError, match="one value per position"):
+            QueryTrace(np.zeros((2, 3)), 2)
 
 
 class TestRun:
@@ -278,7 +289,6 @@ class TestRun:
         final_a, trace_a = run(alg, f, 5)
         final_b, trace_b = run(alg, f, 5)
         assert np.array_equal(final_a.amplitudes, final_b.amplitudes)
-        assert np.array_equal(trace_a.per_step, trace_b.per_step)
         assert np.array_equal(trace_a.totals, trace_b.totals)
 
     def test_grover_trace_mass_equals_queries(self):
@@ -315,22 +325,6 @@ class TestRun:
             run(self._scaled_alg(1 + 1.1e-9), BitStringOracle(np.array([1, 0, 1, 1])))
 
 
-def reference_run(alg, oracle, run_input=None):
-    """The run loop assembled from the public per-query pieces: step,
-    PureState, query_magnitudes, then apply_oracle.  A classical spec's
-    transitions run as point-mass statevector steps."""
-    effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
-    steps = pointmass_steps(alg.layout, alg.steps) if isinstance(alg, ClassicalSpec) else alg.steps
-    step = steps(run_input)
-    state = PureState(step(0, basis_state(alg.layout, 0).amplitudes), alg.layout)
-    rows = np.empty((alg.num_queries, alg.layout.num_positions))
-    for t in range(alg.num_queries):
-        rows[t] = query_magnitudes(state)
-        state = apply_oracle(state, effective)
-        state = PureState(step(t + 1, state.amplitudes), alg.layout)
-    return state, rows
-
-
 def _differential_cases():
     rng = np.random.default_rng(2024)
     f = PermutationOracle(rng.permutation(16))
@@ -350,15 +344,15 @@ def _differential_cases():
 
 
 @pytest.mark.parametrize("alg, oracle, run_input", _differential_cases())
-def test_run_matches_per_query_reference(alg, oracle, run_input):
+def test_run_matches_per_query_reference(alg, oracle, run_input, reference_run):
     final, trace = run(alg, oracle, run_input)
     ref_final, ref_rows = reference_run(alg, oracle, run_input)
     assert np.array_equal(final.amplitudes, ref_final.amplitudes)
-    assert np.array_equal(trace.per_step, ref_rows)
+    assert np.array_equal(trace.totals, ref_rows.sum(axis=0))
 
 
 @pytest.mark.parametrize("n", [16, 64])
-def test_transcripts_match_dense_reference_for_every_input(n):
+def test_transcripts_match_dense_reference_for_every_input(n, reference_run):
     """Every classical family, every run input: the transcript run and the
     point-mass statevector run agree bit for bit."""
     rng = np.random.default_rng(n)
@@ -380,7 +374,7 @@ def test_transcripts_match_dense_reference_for_every_input(n):
         ref_final, ref_rows = reference_run(alg, oracle, run_input)
         assert isinstance(final, BasisState)
         assert np.array_equal(final.amplitudes, ref_final.amplitudes), (alg.name, run_input)
-        assert np.array_equal(trace.per_step, ref_rows), (alg.name, run_input)
+        assert np.array_equal(trace.totals, ref_rows.sum(axis=0)), (alg.name, run_input)
         for register in ("position", "answer", "workspace"):
             assert np.array_equal(measurement_distribution(final, register),
                                   measurement_distribution(ref_final, register))
@@ -396,6 +390,35 @@ def test_transcripts_match_dense_reference_for_every_input(n):
     assert distances == {0.0, math.sqrt(2.0)}
     with pytest.raises(ValueError, match="unknown register"):
         measurement_distribution(prev, "spin")
+
+
+def _parity_pad_run():
+    bits = np.random.default_rng(0).integers(0, 2, size=4096)
+    alg = parity_box_algorithm(parity_preprocess(bits, 4), 5)
+    assert alg.num_queries == 1023
+    return alg, BitStringOracle(bits, forbidden=5), 5
+
+
+def _hellman_run():
+    f = PermutationOracle(np.random.default_rng(16).permutation(2 ** 16))
+    family = HellmanInversion(4)
+    return family.spec(family.preprocess(f), 2 ** 16), f, 3
+
+
+@pytest.mark.parametrize("case", [_parity_pad_run, _hellman_run], ids=["parity-pad", "hellman"])
+def test_run_peak_memory_stays_under_one_mib(case):
+    # a T x N table of float64 magnitudes would take 32 MiB for the parity
+    # pad (T=1023, N=4096) and 5 MiB for Hellman (T=10, N=2^16)
+    alg, oracle, run_input = case()
+    run(alg, oracle, run_input)  # first call outside the measurement
+    tracemalloc.start()
+    try:
+        _, trace = run(alg, oracle, run_input)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.totals.sum() == alg.num_queries
+    assert peak < 2 ** 20
 
 
 class TestClassicalRun:
@@ -454,7 +477,7 @@ class TestAmplificationKernel:
         final, trace = run(masked_box_grover(16), oracle, j)
         expected = self._reflection_run(16, j, oracle)
         assert np.max(np.abs(final.amplitudes - expected)) <= 1e-12
-        assert np.all(trace.per_step[:, j] == 0.0)
+        assert trace.totals[j] == 0.0
         assert measurement_distribution(final, "position")[j] == 0.0
 
 
