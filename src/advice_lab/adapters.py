@@ -211,14 +211,15 @@ class HellmanInversion:
 
 def haar_scrambler(layout: BasisLayout, num_queries: int, seed: int) -> AlgorithmSpec:
     """T queries interleaved with fixed Haar-random unitaries on the full
-    state.  Deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    unitaries = []
-    for _ in range(num_queries + 1):
-        z = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
-        q, r = np.linalg.qr(z)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        unitaries.append(q)
+    state.  Deterministic given the seed: one draw holds, for each unitary,
+    the real block of its Gaussian matrix and then the imaginary block."""
+    if num_queries < 0:
+        raise ValueError("negative query count")
+    d = layout.dim
+    g = np.random.default_rng(seed).normal(size=(num_queries + 1, 2, d, d))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    unitaries = q * (diag / np.abs(diag))[:, None, :]
 
     def steps(_run_input):
         def step(t: int, amps: np.ndarray) -> np.ndarray:

@@ -277,18 +277,19 @@ def hellman_build(f, s: int) -> HellmanTable:
         raise ValueError("domain size must be a power of two")
     if not np.array_equal(np.sort(table), np.arange(n_elems)):
         raise ValueError("table is not a permutation of [0, N)")
-    seen = np.zeros(n_elems, dtype=bool)
+    succ = table.tolist()
+    seen = bytearray(n_elems)
     cycles = []
     for start in range(n_elems):
         if seen[start]:
             continue
         cycle = [start]
-        seen[start] = True
-        z = int(table[start])
+        seen[start] = 1
+        z = succ[start]
         while z != start:
             cycle.append(z)
-            seen[z] = True
-            z = int(table[z])
+            seen[z] = 1
+            z = succ[z]
         length = len(cycle)
         pairs = []
         num_pairs = -(-length // s)

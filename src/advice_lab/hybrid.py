@@ -62,7 +62,8 @@ def collision_in_window(strings, window: Sequence[int], n: int) -> tuple[int, in
     string that is not an integer, ValueError for one outside [0, 2^n).
     """
     window = read_window(window, n)
-    xs = sorted(operator.index(v) for v in strings)
+    values = strings.tolist() if isinstance(strings, np.ndarray) else strings
+    xs = sorted(map(operator.index, values))
     if xs and not 0 <= xs[0] <= xs[-1] < 1 << n:
         raise ValueError(f"string outside [0, 2^{n})")
     outside_mask = ((1 << n) - 1) ^ sum(1 << i for i in window)
@@ -154,8 +155,13 @@ class ExpectationReport:
 
 def expectation_check(totals: np.ndarray, j: int, num_queries: int,
                       rng: np.random.Generator) -> ExpectationReport:
-    """EXPECTATION_SAMPLES positions drawn uniformly from those other than j."""
+    """EXPECTATION_SAMPLES positions drawn uniformly from those other than j.
+    TypeError for a j that is not an integer, ValueError for one outside
+    [0, N)."""
     n = len(totals)
+    j = operator.index(j)
+    if not 0 <= j < n:
+        raise ValueError("index out of range")
     zs = rng.integers(0, n - 1, size=EXPECTATION_SAMPLES)
     zs = zs + (zs >= j)
     draws = totals[zs]

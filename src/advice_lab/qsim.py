@@ -38,6 +38,10 @@ class NonUnitaryStepError(RuntimeError):
     """Raised when a step transformation fails to preserve the state norm."""
 
 
+class _StateNormError(ValueError):
+    """PureState's norm check failed; ``run`` reports it for its last step."""
+
+
 # ---------------------------------------------------------------------------
 # State space
 # ---------------------------------------------------------------------------
@@ -103,8 +107,8 @@ class PureState:
         if amps.shape != (self.layout.dim,):
             raise ValueError("amplitude vector does not match layout dimension")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm} is not 1 within {NORM_TOL}")
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
+            raise _StateNormError(f"state norm {norm} is not 1 within {NORM_TOL}")
 
     def grid(self) -> np.ndarray:
         """View as (position, answer, workspace)."""
@@ -338,8 +342,9 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, Quer
     (each transition must keep them inside the layout, or ValueError), and
     each query adds 1 to the total of the position it reads; any other run
     ends in a dense ``PureState`` and adds each step's position masses into
-    the totals.  A dense step's squared norm is the sum of those masses, and
-    NonUnitaryStepError is raised when that sum leaves MASS_RANGE."""
+    the totals.  NonUnitaryStepError is raised when a dense step leaves the
+    norm more than NORM_TOL from 1: before a query its squared norm is the
+    sum of those masses, and the last step's norm is PureState's own check."""
     effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
     lay, num_queries = alg.layout, alg.num_queries
     _check_layout(lay, effective)
@@ -355,18 +360,22 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, Quer
     index = _gather_index(lay, effective)
     amps = np.zeros(lay.dim, dtype=np.complex128)
     amps[0] = 1.0
-    for t in range(num_queries + 1):
+    for t in range(num_queries):
         amps = np.asarray(step(t, amps), dtype=np.complex128)
         mass = _position_mass(amps, lay)
         squared_norm = mass.sum()
         if not MASS_RANGE[0] <= squared_norm <= MASS_RANGE[1]:
             raise NonUnitaryStepError(
                 f"step {t} of {alg.name} produced norm {math.sqrt(squared_norm)}")
-        if t < num_queries:
-            _check_forbidden(effective, mass)
-            totals += mass
-            amps = amps[index]
-    return PureState(amps, lay), QueryTrace(totals, num_queries)
+        _check_forbidden(effective, mass)
+        totals += mass
+        amps = amps[index]
+    amps = step(num_queries, amps)
+    try:
+        final = PureState(amps, lay)
+    except _StateNormError as err:
+        raise NonUnitaryStepError(f"step {num_queries} of {alg.name}: {err}") from err
+    return final, QueryTrace(totals, num_queries)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_criterion_10_collision_finder():
     rows = harness.collision_trials(100, SEED)
     holds = sum(1 for r in rows if r["holds"])
     ok = holds == 100
-    _report(10, "window collision finder vs brute-force scan", ok,
+    _report(10, "window collision finder vs independent sorted-key scan", ok,
             f"{holds}/100 valid pairs at n <= 10")
 
 

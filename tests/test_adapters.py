@@ -243,3 +243,30 @@ class TestScrambler:
         assert np.array_equal(fa.amplitudes, fb.amplitudes)
         assert np.array_equal(ta.totals, tb.totals)
         assert ta.totals.sum() <= 5 + 1e-9
+
+    @staticmethod
+    def reference_unitaries(layout, num_queries, seed):
+        """One Gaussian pair, QR and phase fix per matrix, in draw order."""
+        rng = np.random.default_rng(seed)
+        unitaries = []
+        for _ in range(num_queries + 1):
+            z = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(size=(layout.dim, layout.dim))
+            q, r = np.linalg.qr(z)
+            unitaries.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+        return unitaries
+
+    @pytest.mark.parametrize("shape", [(8, 2, 2), (8, 8, 2), (16, 16, 1)])
+    def test_unitaries_match_per_matrix_draws_bit_for_bit(self, shape):
+        layout = BasisLayout(*shape)
+        identity = np.eye(layout.dim, dtype=np.complex128)
+        for seed in (0, 1, 123):
+            for num_queries in (0, 1, 3):
+                step = haar_scrambler(layout, num_queries, seed).steps(None)
+                expected = self.reference_unitaries(layout, num_queries, seed)
+                for t, u in enumerate(expected):
+                    assert np.array_equal(step(t, identity), u)
+
+    @pytest.mark.parametrize("num_queries", [-1, -2])
+    def test_negative_query_count(self, num_queries):
+        with pytest.raises(ValueError, match="negative query count"):
+            haar_scrambler(BasisLayout(8, 2, 2), num_queries, seed=0)

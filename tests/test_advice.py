@@ -290,7 +290,39 @@ class TestIterate:
         assert iterate(f, x, length) == x
 
 
+def cycles_reference(f, s: int) -> tuple:
+    """The anchor pairs of every cycle, walked one numpy element at a time."""
+    f = np.asarray(f)
+    seen = np.zeros(len(f), dtype=bool)
+    cycles = []
+    for start in range(len(f)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        z = int(f[start])
+        while z != start:
+            cycle.append(z)
+            seen[z] = True
+            z = int(f[z])
+        length = len(cycle)
+        stride = s if length >= s else length
+        cycles.append(tuple(
+            (cycle[(k * s) % length], cycle[((k + 1) * s) % length] if length >= s else start, stride)
+            for k in range(-(-length // s))))
+    return tuple(cycles)
+
+
 class TestHellmanTable:
+    def test_cycles_match_element_walk(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            n_elems = 1 << n
+            perms = (rng.permutation(n_elems), np.arange(n_elems) ^ 1, np.arange(n_elems))
+            for f in perms:
+                for s in range(1, n_elems + 1):
+                    assert hellman_build(f, s).cycles == cycles_reference(f, s)
+
     def test_anchor_example_plus_one_mod_eight(self):
         f = np.array([(x + 1) % 8 for x in range(8)])
         table = hellman_build(f, 3)

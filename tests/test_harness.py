@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,52 @@ class TestCommands:
     def test_verify_unknown_suite(self):
         with pytest.raises(ValueError):
             harness.cmd_verify("nonsense", trials=1, seed=0)
+
+
+def pairwise_agreement(members, outside_mask: int) -> bool:
+    """Any two distinct members equal on the mask, by scanning every pair."""
+    members = [int(v) for v in members]
+    return any((a ^ b) & outside_mask == 0
+               for i, a in enumerate(members) for b in members[i + 1:])
+
+
+class TestCollisionSuite:
+    def test_sorted_key_scan_matches_pairwise_scan(self):
+        rng = np.random.default_rng(4)
+        found = {False: 0, True: 0}
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            members = rng.choice(1 << n, size=int(rng.integers(0, (1 << n) + 1)), replace=False)
+            outside_mask = int(rng.integers(0, 1 << n))
+            expected = pairwise_agreement(members, outside_mask)
+            assert harness._pair_agrees_outside(members, outside_mask) is expected
+            found[expected] += 1
+        assert min(found.values()) >= 50
+
+    def test_collision_free_sets(self):
+        # one member per key outside the window, with random window bits
+        rng = np.random.default_rng(8)
+        for n in range(2, 9):
+            window_mask = int(rng.integers(1, 1 << n))
+            outside_mask = ((1 << n) - 1) ^ window_mask
+            keys = [k for k in range(1 << n) if k & window_mask == 0]
+            members = np.array([k | (int(rng.integers(0, 1 << n)) & window_mask) for k in keys])
+            assert not pairwise_agreement(members, outside_mask)
+            assert not harness._pair_agrees_outside(members, outside_mask)
+            twin = members[0] ^ window_mask  # differs from members[0] only inside the window
+            assert harness._pair_agrees_outside(np.append(members, twin), outside_mask)
+
+    def test_suite_allocates_no_pair_table(self):
+        # a K x K table of int64 at K up to 1023 would take megabytes
+        harness.collision_trials(50, 0)
+        for seed in range(3):
+            tracemalloc.start()
+            try:
+                harness.collision_trials(50, seed)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, f"seed {seed}: peak {peak} bytes"
 
 
 class TestReproducibility:

@@ -332,6 +332,12 @@ class TestExpectationCheck:
         assert rep.mean == 1.0
         assert rep.within_3se
 
+    @pytest.mark.parametrize("j, error", [(20, ValueError), (-1, ValueError), (2.5, TypeError)],
+                             ids=["past-N", "negative", "non-integer"])
+    def test_rejects_a_bad_forbidden_index(self, j, error):
+        with pytest.raises(error):
+            expectation_check(np.arange(16.0), j, 15, np.random.default_rng(0))
+
 
 class TestBoxExperiment:
     def test_parity_adapter_all_hold(self):

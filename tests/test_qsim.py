@@ -324,6 +324,17 @@ class TestRun:
         with pytest.raises(NonUnitaryStepError):
             run(self._scaled_alg(1 + 1.1e-9), BitStringOracle(np.array([1, 0, 1, 1])))
 
+    @pytest.mark.parametrize("scale", [0.5, 1 + 1.1e-9, math.nan])
+    def test_rejects_a_norm_broken_only_at_the_last_step(self, scale):
+        def steps(_inp):
+            def step(t, amps):
+                return amps * scale if t == 2 else amps
+            return step
+
+        alg = AlgorithmSpec("last-step", BasisLayout(4, 2), 2, steps)
+        with pytest.raises(NonUnitaryStepError, match="step 2 of last-step"):
+            run(alg, BitStringOracle(np.array([1, 0, 1, 1])))
+
 
 def _differential_cases():
     rng = np.random.default_rng(2024)
