@@ -19,7 +19,6 @@ from .qsim import (
     PureState,
     QueryTrace,
     apply_oracle,
-    basis_state,
     default_grover_iterations,
     euclidean_distance,
     grover_invert,

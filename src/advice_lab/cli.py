@@ -50,8 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, trials=100)
 
     p = sub.add_parser("verify", help="inequality verification suites")
-    p.add_argument("suite", choices=("swapping", "tv", "collision", "expectation",
-                                     "eq2", "all"))
+    p.add_argument("suite", choices=("swapping", "tv", "collision", "eq2", "all"))
     _add_common(p, trials=100)
 
     return parser

@@ -72,7 +72,9 @@ def unrank_set(rank: int, n: int, k: int) -> np.ndarray:
 
     The largest element left is the largest c below the previous one with
     C(c, i) <= rank; a search that doubles its step down from the previous
-    element and then bisects finds it in O(log gap) binomials."""
+    element and then bisects finds it in O(log gap) binomials.  TypeError
+    for an argument that is not an integer."""
+    rank, n, k = operator.index(rank), operator.index(n), operator.index(k)
     if not 0 <= k <= n:
         raise CorruptEncodingError("subset size out of range")
     if not 0 <= rank < math.comb(n, k):

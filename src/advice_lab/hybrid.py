@@ -18,6 +18,8 @@ import numpy as np
 
 from .advice import ParityPad, parity_preprocess, read_window
 from .qsim import (
+    FORBIDDEN_MASS_TOL,
+    MASS_RANGE,
     AlgorithmSpec,
     BitStringOracle,
     Oracle,
@@ -31,7 +33,6 @@ from .qsim import (
 from .util import bitstring, int_to_bits, parse_bitstring, stream_rng
 
 SWAP_TOL = 1e-9
-EXPECTATION_SAMPLES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -143,34 +144,29 @@ def verify_tv(a: PureState, b: PureState, register: str = "position") -> TvRepor
 
 @dataclass(frozen=True)
 class ExpectationReport:
-    """Sampled mean of the total query magnitude at a random allowed position,
-    against the exact per-position average T/(N-1)."""
+    """Mean total query magnitude over the positions other than j, against
+    the per-position average T/(N-1) the hybrid argument uses."""
 
     mean: float
     expected: float
-    stderr: float
-    samples: int
-    within_3se: bool
+    holds: bool
 
 
-def expectation_check(totals: np.ndarray, j: int, num_queries: int,
-                      rng: np.random.Generator) -> ExpectationReport:
-    """EXPECTATION_SAMPLES positions drawn uniformly from those other than j.
-    TypeError for a j that is not an integer, ValueError for one outside
-    [0, N)."""
+def expectation_check(totals: np.ndarray, j: int, num_queries: int) -> ExpectationReport:
+    """The exact mean (sum(totals) - totals[j]) / (N - 1).  It equals T/(N-1)
+    when the run spent its T units of mass off j, so ``holds`` checks that
+    within the tolerances ``run`` keeps on every step: the totals sum to T
+    within MASS_RANGE and j carries at most T * FORBIDDEN_MASS_TOL.  TypeError
+    for a j that is not an integer, ValueError for one outside [0, N)."""
     n = len(totals)
     j = operator.index(j)
     if not 0 <= j < n:
         raise ValueError("index out of range")
-    zs = rng.integers(0, n - 1, size=EXPECTATION_SAMPLES)
-    zs = zs + (zs >= j)
-    draws = totals[zs]
-    mean = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / math.sqrt(EXPECTATION_SAMPLES))
-    expected = num_queries / (n - 1)
-    return ExpectationReport(mean=mean, expected=expected, stderr=stderr,
-                             samples=EXPECTATION_SAMPLES,
-                             within_3se=abs(mean - expected) <= 3 * stderr + 1e-12)
+    total, on_j = float(totals.sum()), float(totals[j])
+    holds = (num_queries * MASS_RANGE[0] <= total <= num_queries * MASS_RANGE[1]
+             and on_j <= num_queries * FORBIDDEN_MASS_TOL)
+    return ExpectationReport(mean=(total - on_j) / (n - 1), expected=num_queries / (n - 1),
+                             holds=holds)
 
 
 @dataclass(frozen=True)
@@ -184,6 +180,7 @@ class BoxTrialRecord:
     y: int
     swap: SwapReport
     eq_bound: float  # the bound at a window's mean mass (m+1)T/(N-1): 2T sqrt((m+1)/(N-1))
+    window_mass: float  # the query mass the first run put on the window
     expectation: ExpectationReport
 
 
@@ -198,8 +195,8 @@ class BoxExperimentResult:
         return all(r.swap.holds for r in self.records)
 
     @property
-    def all_expectations_within(self) -> bool:
-        return all(r.expectation.within_3se for r in self.records)
+    def all_expectations_hold(self) -> bool:
+        return all(r.expectation.holds for r in self.records)
 
 
 def box_experiment(n: int, scheme: ParityAdviceScheme,
@@ -208,7 +205,8 @@ def box_experiment(n: int, scheme: ParityAdviceScheme,
     """Per trial: draw an N-bit string and its parity pad (the advice alpha its
     whole class shares), a random window of m + 1 coordinates (m = scheme.m)
     and the pair the pad's ``collision`` builds there; check the perturbation
-    bound on the algorithm the factory builds from the pad."""
+    bound on the algorithm the factory builds from the pad, and the exact
+    query-mass mean off j of its run on x."""
     m = scheme.m
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < N")
@@ -223,9 +221,10 @@ def box_experiment(n: int, scheme: ParityAdviceScheme,
         swap = verify_swapping(alg, BitStringOracle(int_to_bits(x, n), forbidden=j),
                                BitStringOracle(int_to_bits(y, n), forbidden=j), j)
         eq_bound = perturbation_bound(alg.num_queries, alg.num_queries * (m + 1) / (n - 1))
-        expectation = expectation_check(swap.totals, j, alg.num_queries, rng)
         records.append(BoxTrialRecord(
             trial=t, j=j, alpha=bitstring(pad.parities), log2_class_size=pad.log2_class_size,
-            window=window, x=x, y=y, swap=swap, eq_bound=eq_bound, expectation=expectation,
+            window=window, x=x, y=y, swap=swap, eq_bound=eq_bound,
+            window_mass=float(swap.totals[list(window)].sum()),
+            expectation=expectation_check(swap.totals, j, alg.num_queries),
         ))
     return BoxExperimentResult(n, m, tuple(records))

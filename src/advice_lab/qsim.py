@@ -134,10 +134,6 @@ class BasisState:
         return amps
 
 
-def basis_state(layout: BasisLayout, position: int, answer: int = 0, workspace: int = 0) -> BasisState:
-    return BasisState(layout, (position, answer, workspace))
-
-
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------

@@ -56,8 +56,9 @@ def pack_fields(values, widths) -> str:
     every value or one per value, each in [0, 63].
 
     Raises ValueError when a value is negative or needs more bits than its
-    width."""
-    values = np.asarray(values, dtype=np.int64)
+    width (a value outside int64 included), TypeError for a value that is not
+    an integer."""
+    values = int_array(values)
     widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), values.shape)
     if np.any((widths < 0) | (widths > 63)):
         raise ValueError("field widths must lie in [0, 63]")
@@ -77,7 +78,9 @@ def parse_bitstring(s: str) -> np.ndarray:
 
 
 def ceil_log2(m: int) -> int:
-    """Exact ceil(log2(m)) for positive integers, no floating point."""
+    """Exact ceil(log2(m)) for positive integers, no floating point:
+    TypeError for a non-integer."""
+    m = operator.index(m)
     if m < 1:
         raise ValueError("ceil_log2 needs a positive integer")
     return (m - 1).bit_length()

@@ -5,10 +5,10 @@ import pytest
 
 from advice_lab.adapters import pointmass_steps
 from advice_lab.qsim import (
+    BasisState,
     ClassicalSpec,
     PureState,
     apply_oracle,
-    basis_state,
     query_magnitudes,
 )
 
@@ -21,7 +21,7 @@ def _reference_run(alg, oracle, run_input=None):
     effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
     steps = pointmass_steps(alg.layout, alg.steps) if isinstance(alg, ClassicalSpec) else alg.steps
     step = steps(run_input)
-    state = PureState(step(0, basis_state(alg.layout, 0).amplitudes), alg.layout)
+    state = PureState(step(0, BasisState(alg.layout, (0, 0, 0)).amplitudes), alg.layout)
     rows = np.empty((alg.num_queries, alg.layout.num_positions))
     for t in range(alg.num_queries):
         rows[t] = query_magnitudes(state)

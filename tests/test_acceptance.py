@@ -197,12 +197,14 @@ def test_criterion_11_box_expectation():
     ]
     for name, factory in algorithms:
         bits = rng.integers(0, 2, size=n)
-        j = int(rng.integers(n))
-        alg = factory(bits, j)
-        _, trace = run(alg, BitStringOracle(bits, forbidden=j), j)
-        rep = expectation_check(trace.totals, j, alg.num_queries, rng)
-        ok = ok and rep.within_3se
-        details.append(f"{name}: mean {rep.mean:.4f} vs {rep.expected:.4f} "
-                       f"(se {rep.stderr:.4f})")
-    _report(11, "mean query magnitude at a random allowed position", ok,
+        holds, worst = 0, 0.0
+        for j in range(n):
+            alg = factory(bits, j)
+            _, trace = run(alg, BitStringOracle(bits, forbidden=j), j)
+            rep = expectation_check(trace.totals, j, alg.num_queries)
+            holds += rep.holds
+            worst = max(worst, abs(rep.mean - rep.expected))
+        ok = ok and holds == n
+        details.append(f"{name}: {holds}/{n} j hold, max |mean - T/(N-1)| {worst:.1e}")
+    _report(11, "mean query magnitude off j is T/(N-1), every j", ok,
             "; ".join(details))

@@ -190,6 +190,13 @@ class TestSubsetCodec:
         with pytest.raises(TypeError):
             rank_set(elements)
 
+    @pytest.mark.parametrize("rank, n, k", [(1.5, 4, 2), (1, 4.0, 2), (1, 4, 2.0),
+                                            (np.float64(1), 4, 2)])
+    def test_unrank_rejects_non_integers(self, rank, n, k):
+        # 1.5 used to unrank as [0, 2]
+        with pytest.raises(TypeError):
+            unrank_set(rank, n, k)
+
 
 class TestPermutationCodec:
     def test_identity_rank_zero(self):

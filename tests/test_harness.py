@@ -40,6 +40,13 @@ class TestCommands:
         table = harness.cmd_box(8, 2, trials=10, seed=5)
         assert table.ok
         assert all(row["swap_holds"] for row in table.rows)
+        i = table.columns.index("averaged_bound")
+        assert table.columns[i:i + 5] == ["averaged_bound", "window_mass", "mean_qz",
+                                          "expected_qz", "qz_within_3se"]
+        for row in table.rows:
+            assert row["qz_within_3se"] is True
+            assert row["mean_qz"] == pytest.approx(row["expected_qz"], abs=1e-12)
+            assert 0.0 <= row["window_mass"] <= row["num_queries"] + 1e-9
 
     @pytest.mark.parametrize("s_values", [[], [4, 4]], ids=["empty", "repeat"])
     def test_hellman_rejects_bad_strides(self, s_values):
@@ -58,7 +65,7 @@ class TestCommands:
         successes = sum(1 for r in table.rows if r["roundtrip_exact"])
         assert successes >= 20
 
-    @pytest.mark.parametrize("suite", ["swapping", "tv", "collision", "expectation", "eq2"])
+    @pytest.mark.parametrize("suite", ["swapping", "tv", "collision", "eq2"])
     def test_verify_suites(self, suite):
         table = harness.cmd_verify(suite, trials=12, seed=2)
         assert table.ok
@@ -67,6 +74,24 @@ class TestCommands:
     def test_verify_unknown_suite(self):
         with pytest.raises(ValueError):
             harness.cmd_verify("nonsense", trials=1, seed=0)
+
+    # Seeds on which the sampled 3-standard-error test of the mean query mass
+    # reported a failure on a correct tree; the exact check has no such seeds.
+    @pytest.mark.parametrize("seed", [9, 38, 50, 68, 75, 79, 89, 93, 101])
+    def test_verify_all_holds_on_former_unlucky_seeds(self, seed):
+        assert harness.cmd_verify("all", 50, seed).ok
+
+    @pytest.mark.parametrize("seed", [21, 31, 45, 53])
+    def test_box_holds_on_former_unlucky_seeds(self, seed):
+        assert harness.cmd_box(8, 2, 20, seed).ok
+
+    def test_eq2_box_rows_carry_the_exact_mean(self):
+        rows = harness.eq2_trials(12, 3)
+        box_rows = [r for r in rows if r["algorithm"].startswith(("parity", "box-grover"))]
+        assert len(box_rows) == 4
+        for row in box_rows:
+            assert row["holds"] and row["mean_qz"] == pytest.approx(row["expected_qz"], abs=1e-12)
+        assert all("mean_qz" not in r for r in rows if r not in box_rows)
 
 
 def pairwise_agreement(members, outside_mask: int) -> bool:
@@ -142,13 +167,13 @@ class TestReproducibility:
         "grover": (lambda: harness.cmd_grover(16, 4, 0),
                    "f69f5a59bf4bc29cdbb31e7569ac283f9c9db97938c3a4232862a2b9b8c1cf13"),
         "box": (lambda: harness.cmd_box(8, 2, 5, 0),
-                "b7f538cba0854b6d2834725be6fd4c437866424d1cf6d6c656e855a9199d9aa1"),
+                "f495ba22e8c0cb8fb63d8a15ff858aadd4e5b31882c021bf7377a3afa85836ad"),
         "hellman": (lambda: harness.cmd_hellman(64, [4, 8], 2, 0),
                     "ebc8c966c667e7801dc9736d9b95b40939d2ba32004a5af10c1f2e12a7824fb4"),
         "compress": (lambda: harness.cmd_compress(16, 0.2, 0.001, 10, 0),
                      "37b88bb9e77402a1daaaa5f83eb4c92dc6e6e0fba7f853a22120135b7426a88a"),
         "verify": (lambda: harness.cmd_verify("all", 10, 0),
-                   "a8d65616be8d0e3c352cfcbb7cbb086bd45419fdfbf9d1ece14ed3cbb9f60129"),
+                   "86e9c43d729bf7842d05f864d24e759cb7669410af3bb0eab6fb839214971740"),
     }
 
     @pytest.mark.parametrize("command", sorted(GOLDEN))
@@ -357,6 +382,12 @@ class TestCli:
         line = next(line for line in (ROOT / doc).read_text().splitlines()
                     if line.startswith("Common flags:"))
         assert set(line.split("`")[1].split()) == options
+
+    def test_expectation_suite_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "expectation", "--trials", "1"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'expectation'" in capsys.readouterr().err
 
     def test_min_good_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -20,6 +20,7 @@ from advice_lab.hybrid import (
 from advice_lab.qsim import (
     AlgorithmSpec,
     BasisLayout,
+    BasisState,
     BitStringOracle,
     FunctionOracle,
     PermutationOracle,
@@ -300,9 +301,8 @@ class TestVerifyTv:
         assert rep.tv == 0.0 and rep.holds
 
     def test_orthogonal_basis_states(self):
-        from advice_lab.qsim import basis_state
         lay = BasisLayout(4, 2)
-        rep = verify_tv(basis_state(lay, 0), basis_state(lay, 1))
+        rep = verify_tv(BasisState(lay, (0, 0, 0)), BasisState(lay, (1, 0, 0)))
         assert abs(rep.tv - 2.0) < 1e-12
         assert abs(rep.bound - 4 * math.sqrt(2)) < 1e-12
         assert rep.holds
@@ -322,21 +322,37 @@ class TestVerifyTv:
 class TestExpectationCheck:
     def test_full_read_adapter_has_unit_mean(self):
         # one group covering everything: every allowed position is read once,
-        # so the sampled mean is exactly T/(N-1) = 1
+        # so the mean off j is exactly T/(N-1) = 1
         bits = np.random.default_rng(4).integers(0, 2, size=16)
         pad = parity_preprocess(bits, 1)
         alg = parity_box_algorithm(pad, 9)
         _, trace = run(alg, BitStringOracle(bits, forbidden=9), 9)
-        rep = expectation_check(trace.totals, 9, alg.num_queries, np.random.default_rng(5))
+        rep = expectation_check(trace.totals, 9, alg.num_queries)
         assert rep.expected == 1.0
         assert rep.mean == 1.0
-        assert rep.within_3se
+        assert rep.holds
+
+    def test_hand_made_totals(self):
+        # T = 15 at N = 16: one unit on every position but j = 4
+        exact = np.ones(16)
+        exact[4] = 0.0
+        rep = expectation_check(exact, 4, 15)
+        assert rep.mean == rep.expected == 1.0 and rep.holds
+        # dense box-Grover totals differ from T by rounding of this size
+        assert expectation_check(exact * (1 + 1.8e-13), 4, 15).holds
+        for shift in (1e-6, -1e-6):  # the sum is off T
+            off = exact.copy()
+            off[0] += shift
+            assert not expectation_check(off, 4, 15).holds
+        on_j = exact.copy()  # the sum is T, but j carries mass
+        on_j[7], on_j[4] = 1 - 1e-6, 1e-6
+        assert not expectation_check(on_j, 4, 15).holds
 
     @pytest.mark.parametrize("j, error", [(20, ValueError), (-1, ValueError), (2.5, TypeError)],
                              ids=["past-N", "negative", "non-integer"])
     def test_rejects_a_bad_forbidden_index(self, j, error):
         with pytest.raises(error):
-            expectation_check(np.arange(16.0), j, 15, np.random.default_rng(0))
+            expectation_check(np.arange(16.0), j, 15)
 
 
 class TestBoxExperiment:
@@ -344,10 +360,11 @@ class TestBoxExperiment:
         result = box_experiment(8, ParityAdviceScheme(2), parity_box_algorithm,
                                 trials=30, seed=42)
         assert result.all_swaps_hold
-        assert result.all_expectations_within
+        assert result.all_expectations_hold
         for rec in result.records:
             assert rec.log2_class_size == 6
             assert len(rec.window) == 3
+            assert rec.window_mass == float(rec.swap.totals[list(rec.window)].sum())
             # pair members really sit in the advice class and differ inside it
             outside = ((1 << 8) - 1) ^ sum(1 << i for i in rec.window)
             assert (rec.x ^ rec.y) & outside == 0
@@ -378,7 +395,7 @@ class TestBoxExperiment:
             assert rec.swap.actual == 0.0
             assert rec.swap.bound == 0.0
             assert rec.expectation.mean == 0.0
-        assert result.all_swaps_hold
+        assert result.all_swaps_hold and result.all_expectations_hold
 
     @pytest.mark.parametrize("n", [16, 64, 1024])
     def test_past_enumeration_all_hold(self, n):

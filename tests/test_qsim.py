@@ -29,7 +29,6 @@ from advice_lab.qsim import (
     PureState,
     QueryTrace,
     apply_oracle,
-    basis_state,
     default_grover_iterations,
     euclidean_distance,
     grover_invert,
@@ -77,21 +76,21 @@ class TestLayoutAndState:
         # (0, 0, 2) used to alias (0, 1, 0), -1 to wrap to position 3, and
         # (3, 1, 2) to fail with a bare IndexError
         lay = BasisLayout(4, 2, 2)
-        for build in (lay.index, lambda *c: basis_state(lay, *c), lambda *c: BasisState(lay, c)):
+        for build in (lay.index, lambda *c: BasisState(lay, c)):
             with pytest.raises(ValueError, match="outside"):
                 build(*coords)
 
     def test_non_integer_coordinate_rejected(self):
         lay = BasisLayout(4, 2, 2)
-        for build in (lay.index, lambda *c: basis_state(lay, *c), lambda *c: BasisState(lay, c)):
+        for build in (lay.index, lambda *c: BasisState(lay, c)):
             with pytest.raises(TypeError):
                 build(1.5, 0, 0)
-        assert type(basis_state(lay, np.int64(3)).coords[0]) is int
+        assert type(BasisState(lay, (np.int64(3), 0, 0)).coords[0]) is int
 
     def test_basis_state_is_its_coordinates(self):
         lay = BasisLayout(4, 2, 2)
-        state = basis_state(lay, 3, 1, 1)
-        assert isinstance(state, BasisState) and state.coords == (3, 1, 1)
+        state = BasisState(lay, (3, 1, 1))
+        assert state.coords == (3, 1, 1)
         assert state == BasisState(lay, (3, 1, 1))
         expected = np.zeros(lay.dim, dtype=np.complex128)
         expected[lay.index(3, 1, 1)] = 1.0
@@ -137,7 +136,7 @@ class TestApplyOracle:
     def test_identity_permutation_xors_position(self):
         # f(i) = i, so a=0 picks up the value i itself
         lay = BasisLayout(4, 4)
-        state = basis_state(lay, 3, 0)
+        state = BasisState(lay, (3, 0, 0))
         out = apply_oracle(state, PermutationOracle(np.arange(4)))
         assert abs(out.amplitudes[lay.index(3, 3)] - 1.0) < 1e-12
 
@@ -198,20 +197,20 @@ class TestApplyOracle:
         lay = BasisLayout(4, 2)
         oracle = BitStringOracle(np.array([1, 0, 1, 0]), forbidden=2)
         with pytest.raises(ForbiddenIndexError):
-            apply_oracle(basis_state(lay, 2), oracle)
+            apply_oracle(BasisState(lay, (2, 0, 0)), oracle)
         # mass elsewhere is fine
-        apply_oracle(basis_state(lay, 1), oracle)
+        apply_oracle(BasisState(lay, (1, 0, 0)), oracle)
 
     def test_layout_mismatch(self):
         lay = BasisLayout(4, 2)
         with pytest.raises(ValueError):
-            apply_oracle(basis_state(lay, 0), PermutationOracle(np.arange(4)))
+            apply_oracle(BasisState(lay, (0, 0, 0)), PermutationOracle(np.arange(4)))
 
 
 class TestQueryMagnitudes:
     def test_point_mass(self):
         lay = BasisLayout(4, 2, 2)
-        q = query_magnitudes(basis_state(lay, 2, 1, 1))
+        q = query_magnitudes(BasisState(lay, (2, 1, 1)))
         assert np.allclose(q, [0, 0, 1, 0])
 
     def test_uniform(self):
@@ -267,7 +266,7 @@ class TestRun:
     def test_zero_query_run(self):
         lay = BasisLayout(4, 2)
         final, trace = run(self._noop_alg(lay), BitStringOracle(np.array([1, 0, 1, 1])))
-        assert np.allclose(final.amplitudes, basis_state(lay, 0).amplitudes)
+        assert np.allclose(final.amplitudes, BasisState(lay, (0, 0, 0)).amplitudes)
         assert trace.num_queries == 0
         assert np.allclose(trace.totals, 0)
 
@@ -495,7 +494,7 @@ class TestAmplificationKernel:
 class TestMeasurement:
     def test_point_mass(self):
         lay = BasisLayout(4, 2, 2)
-        dist = measurement_distribution(basis_state(lay, 3, 0, 0), "position")
+        dist = measurement_distribution(BasisState(lay, (3, 0, 0)), "position")
         assert np.allclose(dist, [0, 0, 0, 1])
 
     def test_uniform(self):
@@ -517,7 +516,7 @@ class TestMeasurement:
 
     def test_register_selection(self):
         lay = BasisLayout(2, 2, 3)
-        state = basis_state(lay, 1, 0, 2)
+        state = BasisState(lay, (1, 0, 2))
         assert np.allclose(measurement_distribution(state, "workspace"), [0, 0, 1])
         assert np.allclose(measurement_distribution(state, "answer"), [1, 0])
         with pytest.raises(ValueError):
@@ -561,13 +560,14 @@ class TestTopTwo:
 
     def test_one_value_register_has_no_runner_up(self):
         lay = BasisLayout(4, 2, 1)
-        assert top_two(basis_state(lay, 2, 1), "workspace") == (0, 1.0, 0.0)
-        dense = PureState(basis_state(lay, 2, 1).amplitudes, lay)
+        assert top_two(BasisState(lay, (2, 1, 0)), "workspace") == (0, 1.0, 0.0)
+        dense = PureState(BasisState(lay, (2, 1, 0)).amplitudes, lay)
         assert top_two(dense, "workspace") == (0, 1.0, 0.0)
 
     def test_unknown_register_rejected(self):
         lay = BasisLayout(4, 2)
-        for state in (basis_state(lay, 1), PureState(basis_state(lay, 1).amplitudes, lay)):
+        basis = BasisState(lay, (1, 0, 0))
+        for state in (basis, PureState(basis.amplitudes, lay)):
             with pytest.raises(ValueError):
                 top_two(state, "spin")
 
@@ -575,13 +575,13 @@ class TestTopTwo:
 class TestDistances:
     def test_identical(self):
         lay = BasisLayout(4, 2)
-        s = basis_state(lay, 1)
+        s = BasisState(lay, (1, 0, 0))
         assert euclidean_distance(s, s) == 0.0
         assert tv_distance(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
 
     def test_orthogonal_states(self):
         lay = BasisLayout(4, 2)
-        d = euclidean_distance(basis_state(lay, 0), basis_state(lay, 1))
+        d = euclidean_distance(BasisState(lay, (0, 0, 0)), BasisState(lay, (1, 0, 0)))
         assert abs(d - math.sqrt(2)) < 1e-12
 
     def test_disjoint_point_masses_tv_two(self):
@@ -591,8 +591,8 @@ class TestDistances:
         with pytest.raises(ValueError):
             tv_distance(np.array([1.0]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            euclidean_distance(basis_state(BasisLayout(4, 2), 0),
-                               basis_state(BasisLayout(4, 4), 0))
+            euclidean_distance(BasisState(BasisLayout(4, 2), (0, 0, 0)),
+                               BasisState(BasisLayout(4, 4), (0, 0, 0)))
 
 
 class TestGroverInversion:

@@ -6,6 +6,7 @@ import pytest
 from advice_lab.util import (
     bit_array,
     bitstring,
+    ceil_log2,
     int_array,
     int_to_bits,
     pack_fields,
@@ -103,10 +104,16 @@ class TestPackFields:
         assert pack_fields([5, 0], [3, 0]) == "101"
 
     @pytest.mark.parametrize("values, widths", [([4], 2), ([1], 0), ([-1], 8), ([3, 8], [2, 3]),
-                                                ([0], 64), ([0], -1)])
+                                                ([0], 64), ([0], -1), ([1 << 70], 63)])
     def test_rejects_values_that_do_not_fit(self, values, widths):
         with pytest.raises(ValueError):
             pack_fields(values, widths)
+
+
+class TestCeilLog2:
+    def test_non_integer_raises_type_error(self):
+        with pytest.raises(TypeError):
+            ceil_log2(1.5)
 
 
 class TestBitstring:
