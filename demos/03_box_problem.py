@@ -7,23 +7,22 @@ coordinate window; and the query mass averaged over the positions other than
 j is exactly T/(N-1).
 """
 
-from advice_lab import ParityAdviceScheme, box_experiment, parity_box_algorithm
+from advice_lab import ParityPad, box_experiment, parity_box_algorithm
 
 
 def main():
     n, m = 8, 2
-    scheme = ParityAdviceScheme(m)
 
     print("=" * 72)
     print(f"  BOX GAME AT N={n}, ADVICE = {m} PARITY BITS")
     print("=" * 72)
 
-    pad = scheme.partition(n, "10")
+    pad = ParityPad(n, [1, 0])
     print("\n  advice class '10' is the pad with parities 1, 0; it holds exactly")
     print(f"  2^(N-m) = {1 << pad.log2_class_size} of {2 ** n} strings, "
           "a coset of the kernel of the group-parity maps")
 
-    result = box_experiment(n, scheme, parity_box_algorithm, trials=12, seed=2024)
+    result = box_experiment(n, m, parity_box_algorithm, trials=12, seed=2024)
     print(f"\n  {'j':>2} {'window':>10} {'pair (x, y)':>22} {'bound':>8} "
           f"{'actual':>8} {'window q':>9} {'mean q_z':>9} {'T/(N-1)':>8}")
     for rec in result.records:
@@ -33,7 +32,7 @@ def main():
               f"{rec.swap.actual:>8.4f} {rec.window_mass:>9.4f} {rec.expectation.mean:>9.4f} "
               f"{rec.expectation.expected:>8.4f}")
 
-    big = box_experiment(1024, ParityAdviceScheme(4), parity_box_algorithm, trials=1, seed=2024)
+    big = box_experiment(1024, 4, parity_box_algorithm, trials=1, seed=2024)
     rec = big.records[0]
     print(f"\n  one trial at N=1024, m=4: j={rec.j}, class of 2^{rec.log2_class_size} "
           f"strings, T={rec.swap.num_queries},\n  bound {rec.swap.bound:.4f}, "

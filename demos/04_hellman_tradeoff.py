@@ -16,9 +16,8 @@ def anchor_tour():
     print("  anchors on the 8-cycle of x -> x+1 (stride 3)")
     f = np.array([(x + 1) % 8 for x in range(8)])
     table = hellman_build(f, 3)
-    for cycle in table.cycles:
-        for left, right, stride in cycle:
-            print(f"    pair ({left} -> {right}), stride {stride}")
+    for left, right, stride in table.pairs:
+        print(f"    pair ({left} -> {right}), stride {stride}")
     x, calls = hellman_invert(4, table, f)
     print(f"  invert y=4: walk to an anchor, jump back, walk forward -> "
           f"x={x} in {calls} evaluations")

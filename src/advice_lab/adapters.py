@@ -29,7 +29,7 @@ from .qsim import (
     default_grover_iterations,
     grover_spec,
 )
-from .util import ceil_log2, pack_fields, parse_bitstring
+from .util import ceil_log2, pack_fields, parse_bitstring, read_index
 
 
 class InversionFamily(Protocol):
@@ -112,10 +112,10 @@ def masked_box_grover(n_positions: int) -> AlgorithmSpec:
     """Amplitude amplification over every position except the run input index,
     with the round count that suits the N - 1 allowed positions.  The excluded
     index never acquires amplitude, so forbidden-index oracles accept every
-    query."""
+    query.  The index is read by ``util.read_index``."""
     iterations = default_grover_iterations(n_positions - 1)
     return amplification_spec(f"box-grover[{iterations}]", n_positions, iterations,
-                              lambda j: np.arange(n_positions) != int(j), None)
+                              lambda j: np.arange(n_positions) != read_index(j, n_positions), None)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ class LookupInversion:
         inverse = (bits @ (1 << np.arange(n, dtype=np.int64))).tolist()
 
         def transition_factory(run_input):
-            x0 = inverse[int(run_input)]
+            x0 = inverse[read_index(run_input, n_elements)]
 
             def transition(t, pos, ans, work):
                 if t == 0:
@@ -200,7 +200,7 @@ class HellmanInversion:
             name=self.name,
             layout=BasisLayout(n_elements, n_elements, 2),
             num_queries=2 * self.s + 2,
-            steps=lambda y: advice_mod.hellman_walk(anchors, int(y)),
+            steps=lambda y: advice_mod.hellman_walk(anchors, read_index(y, n_elements)),
             output_register="position",
         )
 

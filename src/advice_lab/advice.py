@@ -12,14 +12,13 @@ statevector adapters embed these same definitions.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .qsim import BitStringOracle, PermutationOracle
-from .util import bit_array, ceil_log2, int_array, pack_fields, parse_bitstring
+from .util import bit_array, ceil_log2, int_array, pack_fields, parse_bitstring, read_index
 
 
 class CorruptTableError(RuntimeError):
@@ -81,10 +80,8 @@ class ParityPad:
 
     def reads(self, j: int) -> tuple[np.ndarray, int]:
         """What answering bit j reads: the other positions of j's group, and
-        the group's pad bit.  TypeError for an index that is not an integer."""
-        j = operator.index(j)
-        if not 0 <= j < self.num_positions:
-            raise ValueError("index out of range")
+        the group's pad bit.  j is read by ``util.read_index``."""
+        j = read_index(j, self.num_positions)
         k = self.group_of(j)
         lo, hi = self.group_bounds(k)
         return np.r_[lo:j, j + 1:hi], int(self.parities[k])
@@ -169,17 +166,19 @@ def parity_answer_sweep(strings: np.ndarray, m: int) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class HellmanTable:
-    """Anchor pairs (x, f^stride(x)) along each cycle of a permutation.
+    """Anchor pairs (left, right, stride) with right = f^stride(left), in
+    advice order.
 
-    Anchors start at each cycle's minimum element and are laid stride-to-stride
-    around the cycle, ceil(L/s) pairs for a cycle of length L; the final pair
-    wraps past the starting anchor.  Cycles shorter than s get a single
-    self-pair whose stride still satisfies f^stride(x) = x_next.
+    Anchors start at each cycle's minimum element, cycles in order of that
+    element, and are laid stride-to-stride around the cycle, ceil(L/s) pairs
+    for a cycle of length L; the final pair wraps past the starting anchor.
+    Cycles shorter than s get a single self-pair whose stride still satisfies
+    f^stride(x) = x_next.
     """
 
     n: int  # log2 of the domain size
     s: int
-    cycles: tuple  # tuple of cycles; each cycle is a tuple of (left, right, stride)
+    pairs: tuple  # (left, right, stride) triples
 
     @property
     def num_positions(self) -> int:
@@ -187,7 +186,7 @@ class HellmanTable:
 
     @property
     def entry_count(self) -> int:
-        return sum(len(c) for c in self.cycles)
+        return len(self.pairs)
 
     @property
     def bit_size(self) -> int:
@@ -201,68 +200,51 @@ class HellmanTable:
 
     def rights(self) -> dict[int, tuple[int, int]]:
         """Map each pair's right element to (left element, stride)."""
-        return {right: (left, stride) for cycle in self.cycles for left, right, stride in cycle}
+        return {right: (left, stride) for left, right, stride in self.pairs}
 
     @cached_property
     def anchors(self) -> dict[int, int]:
         """Map each pair's right element to its left element: hellman_walk's jumps."""
-        return {right: left for cycle in self.cycles for left, right, _stride in cycle}
+        return {right: left for left, right, _stride in self.pairs}
 
     def to_bits(self) -> str:
         """The stored advice: the pair count in header_bits = ceil_log2(N + 1)
-        bits, then each pair's left and right in n bits each, cycle by cycle
-        (integers least significant bit first).  Exactly bit_size +
-        header_bits long."""
-        pairs = [v for cycle in self.cycles for left, right, _stride in cycle for v in (left, right)]
-        return pack_fields([self.entry_count, *pairs], [self.header_bits] + [self.n] * len(pairs))
+        bits, then each pair's left and right in n bits each (integers least
+        significant bit first).  Exactly bit_size + header_bits long."""
+        values = [v for left, right, _stride in self.pairs for v in (left, right)]
+        return pack_fields([self.entry_count, *values], [self.header_bits] + [self.n] * len(values))
 
     def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "s": self.s,
-            "cycles": [{"anchors": [[int(a), int(b), int(st)] for a, b, st in cyc]}
-                       for cyc in self.cycles],
-        }, sort_keys=True)
+        return json.dumps({"n": self.n, "s": self.s, "pairs": [list(p) for p in self.pairs]},
+                          sort_keys=True)
 
     @classmethod
     def from_json(cls, payload: str) -> "HellmanTable":
-        """Load a table, raising ValueError on a missing field, a non-integer
-        value, n outside [1, 62] (``to_bits`` writes the pair count in n + 1
-        bits, and ``util.pack_fields`` at most 63), s outside [1, 2^n], no
-        cycles (``to_bits`` would write a pair count of 0, which
-        ``parse_hellman_bits`` rejects), a cycle with no anchors, an element
-        outside [0, 2^n), a stride below 1 or two pairs with the same right
-        element."""
+        """Load a table, raising ValueError when the document is not
+        {"n", "s", "pairs": [[left, right, stride], ...]} of integers, n lies
+        outside [1, 62] (``to_bits`` writes the pair count in n + 1 bits, and
+        ``util.pack_fields`` at most 63), s outside [1, 2^n] or a stride below
+        1.  The pairs are then written out with ``to_bits`` and read back by
+        ``parse_hellman_bits``, the parser ``decode`` trusts: an element
+        outside [0, 2^n) does not fit its field, and an empty table or a
+        repeated right element fails the parse."""
         doc = json.loads(payload)
         try:
             n, s = doc["n"], doc["s"]
-            cycles = tuple(tuple((a, b, st) for a, b, st in cyc["anchors"]) for cyc in doc["cycles"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"anchor table field missing: {exc!r}") from exc
-        if any(type(v) is not int for v in (n, s, *(v for c in cycles for pair in c for v in pair))):
+            pairs = tuple((left, right, stride) for left, right, stride in doc["pairs"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"anchor table field missing or misshapen: {exc!r}") from exc
+        if any(type(v) is not int for v in (n, s, *(v for pair in pairs for v in pair))):
             raise ValueError("anchor table values must be integers")
         if not 1 <= n <= 62:
             raise ValueError("n outside [1, 62]")
-
-        def below_size(v: int) -> bool:  # 0 <= v < 2^n
-            return 0 <= v < 1 << n
-
-        if not (s >= 1 and below_size(s - 1)):
+        if not 1 <= s <= 1 << n:
             raise ValueError("s outside [1, 2^n]")
-        if not cycles:
-            raise ValueError("table with no cycles")
-        for cycle in cycles:
-            if not cycle:
-                raise ValueError("cycle with no anchors")
-            for left, right, stride in cycle:
-                if not (below_size(left) and below_size(right)):
-                    raise ValueError("anchor element outside [0, 2^n)")
-                if stride < 1:
-                    raise ValueError("anchor stride below 1")
-        rights = [right for cycle in cycles for _left, right, _stride in cycle]
-        if len(set(rights)) != len(rights):
-            raise ValueError("two anchor pairs share a right element")
-        return cls(n, s, cycles)
+        if any(stride < 1 for _left, _right, stride in pairs):
+            raise ValueError("anchor stride below 1")
+        table = cls(n, s, pairs)
+        parse_hellman_bits(table.to_bits(), table.num_positions)
+        return table
 
 
 def hellman_build(f, s: int) -> HellmanTable:
@@ -279,7 +261,7 @@ def hellman_build(f, s: int) -> HellmanTable:
         raise ValueError("table is not a permutation of [0, N)")
     succ = table.tolist()
     seen = bytearray(n_elems)
-    cycles = []
+    pairs = []
     for start in range(n_elems):
         if seen[start]:
             continue
@@ -291,15 +273,12 @@ def hellman_build(f, s: int) -> HellmanTable:
             seen[z] = 1
             z = succ[z]
         length = len(cycle)
-        pairs = []
-        num_pairs = -(-length // s)
-        stride = s if length >= s else length
-        for k in range(num_pairs):
-            left = cycle[(k * s) % length]
-            right = cycle[((k + 1) * s) % length] if length >= s else start
-            pairs.append((left, right, stride))
-        cycles.append(tuple(pairs))
-    return HellmanTable(n, s, tuple(cycles))
+        if length < s:
+            pairs.append((start, start, length))
+            continue
+        for k in range(-(-length // s)):
+            pairs.append((cycle[k * s], cycle[((k + 1) * s) % length], s))
+    return HellmanTable(n, s, tuple(pairs))
 
 
 def parse_hellman_bits(advice: str, num_positions: int) -> dict[int, int]:
@@ -345,8 +324,10 @@ def hellman_walk(anchors: dict[int, int], y: int):
 def hellman_invert(y: int, table: HellmanTable, f) -> tuple[int, int]:
     """Drive hellman_walk for y against f (a PermutationOracle or its table)
     until it parks on the preimage.  Returns (x, evaluations of f); the count
-    stays within 2s + 2.  Raises CorruptTableError once 2N + 1 evaluations
-    pass without parking."""
+    stays within 2s + 2.  TypeError for a y that is not an integer,
+    ValueError for one outside [0, N), and CorruptTableError once 2N + 1
+    evaluations pass without parking."""
+    y = read_index(y, table.num_positions)
     images = _as_table(f)
     transition = hellman_walk(table.anchors, y)
     pos, _, work = transition(0, 0, 0, 0)

@@ -30,7 +30,6 @@ from .adapters import (
     parity_box_algorithm,
 )
 from .hybrid import (
-    ParityAdviceScheme,
     box_experiment,
     collision_in_window,
     expectation_check,
@@ -148,7 +147,7 @@ def cmd_grover(n: int, trials: int, seed: int) -> ResultTable:
 
 def cmd_box(n: int, m: int, trials: int, seed: int) -> ResultTable:
     config = {"command": "box", "n": n, "m": m, "trials": trials, "seed": seed}
-    result = box_experiment(n, ParityAdviceScheme(m), parity_box_algorithm, trials, seed)
+    result = box_experiment(n, m, parity_box_algorithm, trials, seed)
     rows = [
         {
             "trial": rec.trial,

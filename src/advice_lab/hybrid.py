@@ -30,7 +30,7 @@ from .qsim import (
     run,
     tv_distance,
 )
-from .util import bitstring, int_to_bits, parse_bitstring, stream_rng
+from .util import bitstring, int_to_bits, parse_bitstring, read_index, stream_rng
 
 SWAP_TOL = 1e-9
 
@@ -60,13 +60,16 @@ def collision_in_window(strings, window: Sequence[int], n: int) -> tuple[int, in
     possible keys, so a set larger than that must collide.  Deterministic:
     strings are scanned in increasing order and the first bucket collision is
     returned.  The window is read by ``advice.read_window``; TypeError for a
-    string that is not an integer, ValueError for one outside [0, 2^n).
+    string that is not an integer, ValueError for one outside [0, 2^n) or a
+    repeated one (the size bound counts distinct strings).
     """
     window = read_window(window, n)
     values = strings.tolist() if isinstance(strings, np.ndarray) else strings
     xs = sorted(map(operator.index, values))
     if xs and not 0 <= xs[0] <= xs[-1] < 1 << n:
         raise ValueError(f"string outside [0, 2^{n})")
+    if any(a == b for a, b in zip(xs, xs[1:])):
+        raise ValueError("the set repeats a string")
     outside_mask = ((1 << n) - 1) ^ sum(1 << i for i in window)
     buckets: dict[int, int] = {}
     for x in xs:
@@ -159,9 +162,7 @@ def expectation_check(totals: np.ndarray, j: int, num_queries: int) -> Expectati
     within MASS_RANGE and j carries at most T * FORBIDDEN_MASS_TOL.  TypeError
     for a j that is not an integer, ValueError for one outside [0, N)."""
     n = len(totals)
-    j = operator.index(j)
-    if not 0 <= j < n:
-        raise ValueError("index out of range")
+    j = read_index(j, n)
     total, on_j = float(totals.sum()), float(totals[j])
     holds = (num_queries * MASS_RANGE[0] <= total <= num_queries * MASS_RANGE[1]
              and on_j <= num_queries * FORBIDDEN_MASS_TOL)
@@ -199,15 +200,14 @@ class BoxExperimentResult:
         return all(r.expectation.holds for r in self.records)
 
 
-def box_experiment(n: int, scheme: ParityAdviceScheme,
+def box_experiment(n: int, m: int,
                    algorithm_factory: Callable[[ParityPad, int], AlgorithmSpec],
                    trials: int, seed: int) -> BoxExperimentResult:
-    """Per trial: draw an N-bit string and its parity pad (the advice alpha its
-    whole class shares), a random window of m + 1 coordinates (m = scheme.m)
-    and the pair the pad's ``collision`` builds there; check the perturbation
-    bound on the algorithm the factory builds from the pad, and the exact
-    query-mass mean off j of its run on x."""
-    m = scheme.m
+    """Per trial: draw an N-bit string and its parity pad over m groups (the
+    advice alpha its whole class shares), a random window of m + 1
+    coordinates and the pair the pad's ``collision`` builds there; check the
+    perturbation bound on the algorithm the factory builds from the pad, and
+    the exact query-mass mean off j of its run on x."""
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < N")
     records = []

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import NORM_TOL, bit_array, int_array
+from .util import NORM_TOL, bit_array, int_array, read_index
 
 FORBIDDEN_MASS_TOL = 1e-12
 
@@ -185,8 +185,8 @@ class PermutationOracle(FunctionOracle):
 class BitStringOracle:
     """An N-bit string; queries XOR bit x_j into a two-dimensional answer
     register.  An optional forbidden index rejects any query touching it.
-    Bits are read by ``util.bit_array``; TypeError for a forbidden index that
-    is not an integer."""
+    Bits are read by ``util.bit_array``; the forbidden index by
+    ``util.read_index``."""
 
     bits: np.ndarray
     forbidden: Optional[int] = None
@@ -197,10 +197,7 @@ class BitStringOracle:
         if len(bits) < 2:
             raise ValueError("need at least two positions")
         if self.forbidden is not None:
-            forbidden = operator.index(self.forbidden)
-            if not 0 <= forbidden < len(bits):
-                raise ValueError("forbidden index out of range")
-            object.__setattr__(self, "forbidden", forbidden)
+            object.__setattr__(self, "forbidden", read_index(self.forbidden, len(bits)))
 
     @property
     def num_positions(self) -> int:
@@ -463,10 +460,13 @@ def amplification_spec(name: str, n_positions: int, iterations: int,
 
 
 def grover_spec(n_elements: int, iterations: int) -> AlgorithmSpec:
-    """Search every position for the unique one whose image is the run input."""
+    """Search every position for the unique one whose image is the run input:
+    TypeError for an input that is not an integer, ValueError for one outside
+    [0, N)."""
 
     def derive(oracle: Oracle, run_input) -> BitStringOracle:
-        marks = (np.asarray(oracle.table) == int(run_input)).astype(np.int64)
+        y = read_index(run_input, n_elements)
+        marks = (np.asarray(oracle.table) == y).astype(np.int64)
         return BitStringOracle(marks)
 
     return amplification_spec(f"grover[{iterations}]", n_elements, iterations,

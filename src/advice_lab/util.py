@@ -34,6 +34,15 @@ def bit_array(values) -> np.ndarray:
     return bits
 
 
+def read_index(value, n: int) -> int:
+    """value as an index of [0, n): TypeError for a non-integer, ValueError
+    outside the range."""
+    value = operator.index(value)
+    if not 0 <= value < n:
+        raise ValueError(f"index {value} outside [0, {n})")
+    return value
+
+
 def int_to_bits(value: int, n: int) -> np.ndarray:
     """An n-bit integer as an int64 0/1 array, index 0 = least significant bit,
     exact at any n.  ValueError when it is negative or needs more than n bits."""

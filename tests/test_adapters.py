@@ -18,6 +18,7 @@ from advice_lab.qsim import (
     BasisState,
     BitStringOracle,
     PermutationOracle,
+    grover_invert,
     measurement_distribution,
     run,
 )
@@ -98,6 +99,13 @@ class TestMaskedBoxGrover:
         _, trace = run(alg, BitStringOracle(bits, forbidden=3), 3)
         assert abs(trace.totals.sum() - alg.num_queries) < 1e-9
 
+    @pytest.mark.parametrize("j, error", [(16, ValueError), (-1, ValueError), (2.5, TypeError)],
+                             ids=["past-N", "negative", "non-integer"])
+    def test_rejects_an_index_outside_the_positions(self, j, error):
+        # with no position excluded the run would spread mass over all 16
+        with pytest.raises(error):
+            run(masked_box_grover(16), BitStringOracle(np.zeros(16, dtype=int)), j)
+
     def test_uniform_mass_when_nothing_is_marked(self):
         # with an all-zero string the query is the identity, so the state stays
         # uniform over the allowed positions the whole run
@@ -149,7 +157,7 @@ class TestHellmanFamily:
         advice = family.preprocess(f)
         rights = family.parse_advice(advice, 32)
         table = hellman_build(f, 4)
-        assert rights == {right: left for cyc in table.cycles for left, right, _ in cyc}
+        assert rights == {right: left for left, right, _ in table.pairs}
 
     def test_inverts_every_point(self):
         rng = np.random.default_rng(8)
@@ -230,6 +238,33 @@ class TestGroverFamily:
         assert family.preprocess(f) == ""
         alg = family.spec("", 16)
         assert alg.num_queries == 3
+
+
+def _run_family(family, f, y):
+    return run(family.spec(family.preprocess(f), f.num_positions), f, y)
+
+
+# Each inverter against an image outside [0, N) or one that is not an
+# integer, at N=16: a Python list would read -1 from its end, int() would run
+# 2.5 as 2, and Grover would run 99 with no marked position.
+BAD_IMAGES = {
+    "hellman-invert-16": (lambda f: hellman_invert(16, hellman_build(f, 2), f), ValueError),
+    "hellman-invert-negative": (lambda f: hellman_invert(-1, hellman_build(f, 2), f), ValueError),
+    "hellman-invert-float": (lambda f: hellman_invert(2.0, hellman_build(f, 2), f), TypeError),
+    "lookup-negative": (lambda f: _run_family(LookupInversion(), f, -1), ValueError),
+    "lookup-16": (lambda f: _run_family(LookupInversion(), f, 16), ValueError),
+    "hellman-run-float": (lambda f: _run_family(HellmanInversion(2), f, 2.5), TypeError),
+    "hellman-run-16": (lambda f: _run_family(HellmanInversion(2), f, 16), ValueError),
+    "grover-99": (lambda f: grover_invert(f, 99), ValueError),
+    "grover-float": (lambda f: grover_invert(f, 1.5), TypeError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IMAGES))
+def test_inverters_reject_images_outside_the_domain(case):
+    call, error = BAD_IMAGES[case]
+    with pytest.raises(error):
+        call(PermutationOracle(np.random.default_rng(16).permutation(16)))
 
 
 class TestScrambler:

@@ -87,9 +87,8 @@ def to_bits_reference(table: HellmanTable) -> str:
     """The per-field join HellmanTable.to_bits must reproduce: the pair count,
     then every pair's left and right."""
     fields = [int_to_bits(table.entry_count, ceil_log2(table.num_positions + 1))]
-    for cycle in table.cycles:
-        for left, right, _stride in cycle:
-            fields += [int_to_bits(left, table.n), int_to_bits(right, table.n)]
+    for left, right, _stride in table.pairs:
+        fields += [int_to_bits(left, table.n), int_to_bits(right, table.n)]
     return "".join("1" if b else "0" for field in fields for b in field)
 
 
@@ -290,8 +289,9 @@ class TestIterate:
         assert iterate(f, x, length) == x
 
 
-def cycles_reference(f, s: int) -> tuple:
-    """The anchor pairs of every cycle, walked one numpy element at a time."""
+def cycles_of(f) -> list:
+    """Every cycle of f from its least element, walked one numpy element at
+    a time, in order of that element."""
     f = np.asarray(f)
     seen = np.zeros(len(f), dtype=bool)
     cycles = []
@@ -305,12 +305,21 @@ def cycles_reference(f, s: int) -> tuple:
             cycle.append(z)
             seen[z] = True
             z = int(f[z])
+        cycles.append(cycle)
+    return cycles
+
+
+def pairs_reference(f, s: int) -> tuple:
+    """The anchor pairs, element by element: from each cycle's least element
+    every s-th element to the one s further on; a cycle shorter than s is one
+    self-pair whose stride is its length."""
+    pairs = []
+    for cycle in cycles_of(f):
         length = len(cycle)
-        stride = s if length >= s else length
-        cycles.append(tuple(
-            (cycle[(k * s) % length], cycle[((k + 1) * s) % length] if length >= s else start, stride)
-            for k in range(-(-length // s))))
-    return tuple(cycles)
+        for k in range(0, length, s):
+            right = cycle[(k + s) % length] if length >= s else cycle[0]
+            pairs.append((cycle[k], right, min(s, length)))
+    return tuple(pairs)
 
 
 class TestHellmanTable:
@@ -321,26 +330,26 @@ class TestHellmanTable:
             perms = (rng.permutation(n_elems), np.arange(n_elems) ^ 1, np.arange(n_elems))
             for f in perms:
                 for s in range(1, n_elems + 1):
-                    assert hellman_build(f, s).cycles == cycles_reference(f, s)
+                    assert hellman_build(f, s).pairs == pairs_reference(f, s)
 
     def test_anchor_example_plus_one_mod_eight(self):
         f = np.array([(x + 1) % 8 for x in range(8)])
         table = hellman_build(f, 3)
-        assert table.cycles == (((0, 3, 3), (3, 6, 3), (6, 1, 3)),)
+        assert table.pairs == ((0, 3, 3), (3, 6, 3), (6, 1, 3))
 
     def test_stride_one_is_full_graph(self):
         rng = np.random.default_rng(6)
         f = rng.permutation(16)
         table = hellman_build(f, 1)
         assert table.entry_count == 16
-        pairs = {left: right for cyc in table.cycles for left, right, _ in cyc}
+        pairs = {left: right for left, right, _ in table.pairs}
         assert pairs == {x: int(f[x]) for x in range(16)}
 
     def test_full_stride_cyclic_single_pair(self):
         n = 8
         f = np.array([(x + 1) % n for x in range(n)])
         table = hellman_build(f, n)
-        assert table.cycles == (((0, 0, 8),),)
+        assert table.pairs == ((0, 0, 8),)
 
     def test_pair_consistency_and_coverage(self):
         rng = np.random.default_rng(7)
@@ -348,10 +357,9 @@ class TestHellmanTable:
             f = rng.permutation(32)
             table = hellman_build(f, s)
             anchors = set()
-            for cyc in table.cycles:
-                for left, right, stride in cyc:
-                    assert iterate(f, left, stride) == right
-                    anchors.add(left)
+            for left, right, stride in table.pairs:
+                assert iterate(f, left, stride) == right
+                anchors.add(left)
             # every element reaches an anchor within s-1 forward steps
             for x in range(32):
                 z, ok = x, False
@@ -361,7 +369,7 @@ class TestHellmanTable:
                         break
                     z = int(f[z])
                 assert ok
-            num_cycles = len(table.cycles)
+            num_cycles = len(cycles_of(f))
             assert table.entry_count <= math.ceil(32 / s) + num_cycles
 
     def test_invert_example(self):
@@ -396,7 +404,7 @@ class TestHellmanTable:
             hellman_invert(7, HellmanTable(3, 3, ()), g)
         # anchor jumps into the wrong cycle: the preimage walk never closes
         two_cycles = np.array([1, 2, 3, 0, 5, 6, 7, 4])
-        bogus = HellmanTable(3, 3, (((5, 2, 3),),))
+        bogus = HellmanTable(3, 3, ((5, 2, 3),))
         with pytest.raises(CorruptTableError):
             hellman_invert(2, bogus, two_cycles)
 
@@ -431,9 +439,8 @@ class TestHellmanTable:
             parse_hellman_bits(bits[:-1] + "2", 32)
 
     def test_parse_rejects_repeated_right(self):
-        for cycles in ((((0, 2, 2), (4, 2, 2)),), (((0, 2, 2),), ((4, 2, 2),))):
-            with pytest.raises(ValueError, match="share a right"):
-                parse_hellman_bits(HellmanTable(3, 2, cycles).to_bits(), 8)
+        with pytest.raises(ValueError, match="share a right"):
+            parse_hellman_bits(HellmanTable(3, 2, ((0, 2, 2), (4, 2, 2))).to_bits(), 8)
 
     @pytest.mark.parametrize("n_elems", [2, 16, 128, 1024])
     def test_built_tables_parse(self, n_elems):
@@ -458,38 +465,39 @@ class TestHellmanTable:
         assert clone == table
         assert clone.to_json() == table.to_json()
 
-    # Each case breaks one field of a valid n=3, s=2 table; the first is the
-    # table that used to load and fail only when walked or written out.
+    # Each case breaks one field of a valid n=3, s=2 table and names the
+    # message it must fail with; the first is the table that used to load and
+    # fail only when walked or written out.  The pair checks come from writing
+    # the pairs out and parsing them back.
     BAD_TABLES = {
-        "element_out_of_range": {"n": 3, "s": 2, "cycles": [{"anchors": [[9, 12, 2]]}]},
-        "n_below_one": {"n": 0, "s": 1, "cycles": [{"anchors": [[0, 0, 1]]}]},
+        "element_out_of_range": ({"n": 3, "s": 2, "pairs": [[9, 12, 2]]}, "does not fit"),
+        "n_below_one": ({"n": 0, "s": 1, "pairs": [[0, 0, 1]]}, r"n outside \[1, 62\]"),
         # its pair count would need a field of n + 1 = 64 bits
-        "n_above_62": {"n": 63, "s": 1, "cycles": [{"anchors": [[0, 0, 1]]}]},
-        "n_huge": {"n": 2 ** 70, "s": 1, "cycles": [{"anchors": [[0, 0, 1]]}]},
-        "s_zero": {"n": 3, "s": 0, "cycles": [{"anchors": [[0, 2, 2]]}]},
-        "s_above_domain": {"n": 3, "s": 9, "cycles": [{"anchors": [[0, 2, 2]]}]},
-        "cycle_without_anchors": {"n": 3, "s": 2, "cycles": [{"anchors": []}]},
-        "no_cycles": {"n": 3, "s": 2, "cycles": []},  # its advice would be a pair count of 0
-        "negative_left": {"n": 3, "s": 2, "cycles": [{"anchors": [[-1, 2, 2]]}]},
-        "right_out_of_range": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 8, 2]]}]},
-        "stride_zero": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2, 0]]}]},
-        "missing_n": {"s": 2, "cycles": [{"anchors": [[0, 2, 2]]}]},
-        "missing_cycles": {"n": 3, "s": 2},
-        "missing_anchors": {"n": 3, "s": 2, "cycles": [{}]},
-        "short_anchor": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2]]}]},
-        "non_integer_element": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2.0, 2]]}]},
-        "repeated_right": {"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2, 2], [4, 2, 2]]}]},
-        "repeated_right_across_cycles": {"n": 3, "s": 2,
-                                         "cycles": [{"anchors": [[0, 2, 2]]}, {"anchors": [[4, 2, 2]]}]},
+        "n_above_62": ({"n": 63, "s": 1, "pairs": [[0, 0, 1]]}, r"n outside \[1, 62\]"),
+        "n_huge": ({"n": 2 ** 70, "s": 1, "pairs": [[0, 0, 1]]}, r"n outside \[1, 62\]"),
+        "s_zero": ({"n": 3, "s": 0, "pairs": [[0, 2, 2]]}, r"s outside \[1, 2\^n\]"),
+        "s_above_domain": ({"n": 3, "s": 9, "pairs": [[0, 2, 2]]}, r"s outside \[1, 2\^n\]"),
+        # an empty table: its advice would be a pair count of 0
+        "no_cycles": ({"n": 3, "s": 2, "pairs": []}, "positive pair count"),
+        "negative_left": ({"n": 3, "s": 2, "pairs": [[-1, 2, 2]]}, "does not fit"),
+        "right_out_of_range": ({"n": 3, "s": 2, "pairs": [[0, 8, 2]]}, "does not fit"),
+        "stride_zero": ({"n": 3, "s": 2, "pairs": [[0, 2, 0]]}, "stride below 1"),
+        "missing_n": ({"s": 2, "pairs": [[0, 2, 2]]}, "field missing"),
+        "missing_pairs": ({"n": 3, "s": 2}, "field missing"),
+        "cycles_form": ({"n": 3, "s": 2, "cycles": [{"anchors": [[0, 2, 2]]}]}, "field missing"),
+        "short_anchor": ({"n": 3, "s": 2, "pairs": [[0, 2]]}, "misshapen"),
+        "non_integer_element": ({"n": 3, "s": 2, "pairs": [[0, 2.0, 2]]}, "must be integers"),
+        "repeated_right": ({"n": 3, "s": 2, "pairs": [[0, 2, 2], [4, 2, 2]]}, "share a right"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_TABLES))
     def test_from_json_rejects(self, case):
-        with pytest.raises(ValueError):
-            HellmanTable.from_json(json.dumps(self.BAD_TABLES[case]))
+        doc, message = self.BAD_TABLES[case]
+        with pytest.raises(ValueError, match=message):
+            HellmanTable.from_json(json.dumps(doc))
 
     def test_widest_loadable_table_writes_its_bits(self):
-        doc = {"n": 62, "s": 1, "cycles": [{"anchors": [[0, (1 << 62) - 1, 1]]}]}
+        doc = {"n": 62, "s": 1, "pairs": [[0, (1 << 62) - 1, 1]]}
         table = HellmanTable.from_json(json.dumps(doc))
         assert len(table.to_bits()) == 63 + 2 * 62
 

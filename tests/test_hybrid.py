@@ -57,9 +57,9 @@ def enumerate_class(n, m, alpha):
     return np.flatnonzero(keys == alpha_key)
 
 
-def advice_of(scheme, x, n):
-    """Advice string of an n-bit int of any size."""
-    return bitstring(parity_preprocess([(x >> i) & 1 for i in range(n)], scheme.m).parities)
+def advice_of(m, x, n):
+    """Advice string of an n-bit int of any size, m parity groups."""
+    return bitstring(parity_preprocess([(x >> i) & 1 for i in range(n)], m).parities)
 
 
 def perturbation_instance(rng):
@@ -133,6 +133,11 @@ class TestCollisionFinder:
         with pytest.raises(TypeError):
             collision_in_window(strings, window, 3)
 
+    def test_rejects_a_repeated_string(self):
+        # one string is not two members: the size bound counts distinct strings
+        with pytest.raises(ValueError, match="repeats a string"):
+            collision_in_window([5, 5], [0], 3)
+
     def test_rejects_when_no_pair_exists(self):
         # too small a set, all pairwise different outside the window
         with pytest.raises(ValueError):
@@ -148,7 +153,7 @@ class TestParityPartitions:
         for window in itertools.combinations(range(n), 3):
             x, y = pad.collision(window)
             assert x < y and agree_outside(x, y, window, n)
-            assert advice_of(scheme, x, n) == advice_of(scheme, y, n) == "10"
+            assert advice_of(scheme.m, x, n) == advice_of(scheme.m, y, n) == "10"
 
     def test_partition_derives_its_group_starts(self):
         pad = ParityAdviceScheme(3).partition(10, "101")
@@ -195,7 +200,7 @@ class TestParityPartitions:
             window = sorted(int(i) for i in rng.choice(n, size=m + 1, replace=False))
             x, y = pad.collision(window)
             assert x < y and agree_outside(x, y, window, n)
-            assert advice_of(scheme, x, n) == advice_of(scheme, y, n) == alpha
+            assert advice_of(scheme.m, x, n) == advice_of(scheme.m, y, n) == alpha
 
     @pytest.mark.parametrize("alpha", ["1", "101", "12", "ab", ""])
     def test_rejects_malformed_advice(self, alpha):
@@ -357,8 +362,7 @@ class TestExpectationCheck:
 
 class TestBoxExperiment:
     def test_parity_adapter_all_hold(self):
-        result = box_experiment(8, ParityAdviceScheme(2), parity_box_algorithm,
-                                trials=30, seed=42)
+        result = box_experiment(8, 2, parity_box_algorithm, trials=30, seed=42)
         assert result.all_swaps_hold
         assert result.all_expectations_hold
         for rec in result.records:
@@ -371,8 +375,7 @@ class TestBoxExperiment:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_window_and_bound_follow_the_scheme(self, m):
-        result = box_experiment(8, ParityAdviceScheme(m), parity_box_algorithm,
-                                trials=4, seed=m)
+        result = box_experiment(8, m, parity_box_algorithm, trials=4, seed=m)
         assert result.m == m
         for rec in result.records:
             assert len(rec.window) == m + 1
@@ -389,8 +392,7 @@ class TestBoxExperiment:
                 return step
             return AlgorithmSpec("idle", lay, 0, steps)
 
-        result = box_experiment(8, ParityAdviceScheme(2), factory,
-                                trials=10, seed=7)
+        result = box_experiment(8, 2, factory, trials=10, seed=7)
         for rec in result.records:
             assert rec.swap.actual == 0.0
             assert rec.swap.bound == 0.0
@@ -399,15 +401,14 @@ class TestBoxExperiment:
 
     @pytest.mark.parametrize("n", [16, 64, 1024])
     def test_past_enumeration_all_hold(self, n):
-        scheme = ParityAdviceScheme(2)
-        result = box_experiment(n, scheme, parity_box_algorithm, trials=6, seed=n)
+        result = box_experiment(n, 2, parity_box_algorithm, trials=6, seed=n)
         assert result.all_swaps_hold
         for rec in result.records:
             assert rec.log2_class_size == n - 2
             assert rec.x != rec.y and agree_outside(rec.x, rec.y, rec.window, n)
-            assert advice_of(scheme, rec.x, n) == advice_of(scheme, rec.y, n) == rec.alpha
+            assert advice_of(2, rec.x, n) == advice_of(2, rec.y, n) == rec.alpha
 
     @pytest.mark.parametrize("m", [0, 8])
     def test_rejects_bad_m(self, m):
         with pytest.raises(ValueError, match="1 <= m < N"):
-            box_experiment(8, ParityAdviceScheme(m), parity_box_algorithm, 1, 0)
+            box_experiment(8, m, parity_box_algorithm, 1, 0)

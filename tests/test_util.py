@@ -11,6 +11,7 @@ from advice_lab.util import (
     int_to_bits,
     pack_fields,
     parse_bitstring,
+    read_index,
 )
 
 
@@ -52,6 +53,17 @@ class TestBitArray:
     def test_non_integers_raise_type_error(self, values):
         with pytest.raises(TypeError):
             bit_array(values)
+
+
+class TestReadIndex:
+    def test_reads_integers_in_range(self):
+        assert [read_index(v, 4) for v in (0, np.int64(3))] == [0, 3]
+
+    @pytest.mark.parametrize("value, error", [(-1, ValueError), (4, ValueError), (2.0, TypeError),
+                                              (np.float64(1), TypeError)])
+    def test_rejects_other_values(self, value, error):
+        with pytest.raises(error):
+            read_index(value, 4)
 
 
 class TestIntToBits:
