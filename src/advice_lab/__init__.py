@@ -49,7 +49,6 @@ from .adapters import (
     parity_box_algorithm,
 )
 from .hybrid import (
-    BoxExperimentResult,
     ParityAdviceScheme,
     SwapReport,
     TvReport,

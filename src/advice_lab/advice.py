@@ -33,10 +33,10 @@ class CorruptTableError(RuntimeError):
 class ParityPad:
     """One parity bit for each of m = len(parities) contiguous groups of [N].
 
-    The groups are ``group_boundaries(N, m)``: an equal split with earlier
-    groups larger when N is not a multiple of m, so the first group always has
-    the maximal size ceil(N/m).  Parities are read by ``util.bit_array``;
-    ValueError unless 1 <= m < N.
+    Group k is [bounds[k], bounds[k + 1]) for ``bounds = group_boundaries(N,
+    m)``: an equal split with earlier groups larger when N is not a multiple
+    of m, so the first group always has the maximal size ceil(N/m).  Parities
+    are read by ``util.bit_array``; ValueError unless 1 <= m < N.
 
     A pad is also its advice class: the N-bit strings (ints, bit z = position
     z) whose group parities it records, a coset of the kernel of the m
@@ -46,12 +46,12 @@ class ParityPad:
 
     num_positions: int
     parities: np.ndarray  # m bits
-    starts: np.ndarray = field(init=False, repr=False)  # the m group starts, starts[0] == 0
+    bounds: np.ndarray = field(init=False, repr=False)  # the m + 1 group bounds, 0 to N
 
     def __post_init__(self):
         parities = bit_array(self.parities).astype(np.uint8)
         object.__setattr__(self, "parities", parities)
-        object.__setattr__(self, "starts", group_boundaries(self.num_positions, len(parities)))
+        object.__setattr__(self, "bounds", group_boundaries(self.num_positions, len(parities)))
 
     def _key(self) -> tuple[int, bytes]:
         return self.num_positions, self.parities.tobytes()
@@ -71,19 +71,14 @@ class ParityPad:
         return self.num_positions - self.m
 
     def group_of(self, j: int) -> int:
-        return int(np.searchsorted(self.starts, j, side="right")) - 1
-
-    def group_bounds(self, k: int) -> tuple[int, int]:
-        lo = int(self.starts[k])
-        hi = int(self.starts[k + 1]) if k + 1 < self.m else self.num_positions
-        return lo, hi
+        return int(np.searchsorted(self.bounds, j, side="right")) - 1
 
     def reads(self, j: int) -> tuple[np.ndarray, int]:
         """What answering bit j reads: the other positions of j's group, and
         the group's pad bit.  j is read by ``util.read_index``."""
         j = read_index(j, self.num_positions)
         k = self.group_of(j)
-        lo, hi = self.group_bounds(k)
+        lo, hi = int(self.bounds[k]), int(self.bounds[k + 1])
         return np.r_[lo:j, j + 1:hi], int(self.parities[k])
 
     def collision(self, window) -> tuple[int, int]:
@@ -97,8 +92,8 @@ class ParityPad:
         k = next((k for k in range(1, len(window)) if groups[k] == groups[k - 1]), None)
         if k is None:
             raise ValueError("no collision: the window holds at most one index per group")
-        least = sum(1 << lo for lo in self.starts[self.parities == 1].tolist())
-        base = least ^ (1 << int(self.starts[groups[k]]))
+        least = sum(1 << lo for lo in self.bounds[:-1][self.parities == 1].tolist())
+        base = least ^ (1 << int(self.bounds[groups[k]]))
         return base ^ (1 << window[k - 1]), base ^ (1 << window[k])
 
 
@@ -112,18 +107,21 @@ def read_window(window, n: int) -> list[int]:
 
 
 def group_boundaries(n: int, m: int) -> np.ndarray:
+    """The m + 1 bounds of m contiguous groups of [n], from 0 to n, earlier
+    groups larger by one when m does not divide n.  ValueError unless
+    1 <= m < n."""
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < N")
     base, rem = divmod(n, m)
     sizes = np.full(m, base, dtype=np.int64)
     sizes[:rem] += 1
-    return np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return np.concatenate(([0], np.cumsum(sizes)))
 
 
 def parity_preprocess(bits, m: int) -> ParityPad:
     """Record the parity of each of m contiguous groups of the string."""
     x = _as_bits(bits)
-    return ParityPad(len(x), np.bitwise_xor.reduceat(x, group_boundaries(len(x), m)))
+    return ParityPad(len(x), np.bitwise_xor.reduceat(x, group_boundaries(len(x), m)[:-1]))
 
 
 def parity_answer(j: int, pad: ParityPad, oracle) -> tuple[int, int]:
@@ -145,16 +143,15 @@ def parity_answer_sweep(strings: np.ndarray, m: int) -> tuple[np.ndarray, np.nda
     X = np.asarray(strings)
     X = bit_array(X.reshape(-1)).astype(np.uint8).reshape(X.shape)
     batch, n = X.shape
-    starts = group_boundaries(n, m)
-    ends = np.append(starts[1:], n)
-    group = np.repeat(np.arange(m), ends - starts)
-    lo, hi, cols = starts[group], ends[group], np.arange(n)
+    bounds = group_boundaries(n, m)
+    group = np.repeat(np.arange(m), np.diff(bounds))
+    lo, hi, cols = bounds[group], bounds[group + 1], np.arange(n)
     pre = np.zeros((batch, n + 1), dtype=np.uint8)
     pre[:, 1:] = np.bitwise_xor.accumulate(X, axis=1)
     suf = np.zeros((batch, n + 1), dtype=np.uint8)
     suf[:, :n] = np.bitwise_xor.accumulate(X[:, ::-1], axis=1)[:, ::-1]
     others = pre[:, cols] ^ pre[:, lo] ^ suf[:, cols + 1] ^ suf[:, hi]
-    pads = np.bitwise_xor.reduceat(X, starts, axis=1)
+    pads = np.bitwise_xor.reduceat(X, bounds[:-1], axis=1)
     answers = pads[:, group] ^ others
     counts = hi - lo - 1
     return answers, counts
@@ -248,17 +245,13 @@ class HellmanTable:
 
 
 def hellman_build(f, s: int) -> HellmanTable:
-    """Decompose f into cycles and store anchor pairs every s iterates.
-    Raises ValueError unless f is a permutation of [0, N)."""
-    table = _as_table(f)
+    """Decompose f (read by ``_as_oracle``) into cycles and store anchor pairs
+    every s iterates.  ValueError unless 1 <= s <= N."""
+    table = _as_oracle(f).table
     n_elems = len(table)
     if not 1 <= s <= n_elems:
         raise ValueError("stride out of range")
     n = ceil_log2(n_elems)
-    if 1 << n != n_elems:
-        raise ValueError("domain size must be a power of two")
-    if not np.array_equal(np.sort(table), np.arange(n_elems)):
-        raise ValueError("table is not a permutation of [0, N)")
     succ = table.tolist()
     seen = bytearray(n_elems)
     pairs = []
@@ -322,13 +315,15 @@ def hellman_walk(anchors: dict[int, int], y: int):
 
 
 def hellman_invert(y: int, table: HellmanTable, f) -> tuple[int, int]:
-    """Drive hellman_walk for y against f (a PermutationOracle or its table)
-    until it parks on the preimage.  Returns (x, evaluations of f); the count
-    stays within 2s + 2.  TypeError for a y that is not an integer,
-    ValueError for one outside [0, N), and CorruptTableError once 2N + 1
-    evaluations pass without parking."""
+    """Drive hellman_walk for y against f (read by ``_as_oracle``) until it
+    parks on the preimage.  Returns (x, evaluations of f); the count stays
+    within 2s + 2.  ValueError when f and the table differ in size, TypeError
+    for a y that is not an integer, ValueError for one outside [0, N), and
+    CorruptTableError once 2N + 1 evaluations pass without parking."""
+    images = _as_oracle(f).table
+    if len(images) != table.num_positions:
+        raise ValueError(f"f has {len(images)} positions, the table {table.num_positions}")
     y = read_index(y, table.num_positions)
-    images = _as_table(f)
     transition = hellman_walk(table.anchors, y)
     pos, _, work = transition(0, 0, 0, 0)
     for calls in range(1, 2 * table.num_positions + 2):
@@ -341,13 +336,13 @@ def hellman_invert(y: int, table: HellmanTable, f) -> tuple[int, int]:
 
 def measure_tradeoff(f, s: int) -> dict:
     """Build a table for f and measure its size against worst-case inversion
-    cost over every image point."""
-    table = hellman_build(f, s)
-    perm = _as_table(f)
-    n_elems = len(perm)
+    cost over every image point.  f is read once, by ``_as_oracle``."""
+    oracle = _as_oracle(f)
+    table = hellman_build(oracle, s)
+    perm = oracle.table
     worst = 0
-    for y in range(n_elems):
-        x, calls = hellman_invert(y, table, perm)
+    for y in range(len(perm)):
+        x, calls = hellman_invert(y, table, oracle)
         if perm[x] != y:
             raise AssertionError(f"inversion failed at y={y}")
         worst = max(worst, calls)
@@ -371,8 +366,8 @@ def _as_bits(x) -> np.ndarray:
     return bit_array(x)
 
 
-def _as_table(f) -> np.ndarray:
-    if isinstance(f, PermutationOracle):
-        return f.table
-    return int_array(f)
+def _as_oracle(f) -> PermutationOracle:
+    """f as a PermutationOracle, which checks that it permutes [2^n] for some
+    n >= 1; an oracle passes through without a second check."""
+    return f if isinstance(f, PermutationOracle) else PermutationOracle(f)
 

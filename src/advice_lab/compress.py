@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .qsim import FunctionOracle, PermutationOracle, State, run, top_two
-from .util import bitstring, ceil_log2, int_array, parse_bitstring
+from .util import bitstring, ceil_log2, int_array, parse_bitstring, read_index_set
 
 ARGMAX_TOL = 1e-9
 # An element counts as inverted when its run outputs it with at least this probability.
@@ -244,7 +244,9 @@ class CompressionParams:
 
 
 def sample_R(n_elements: int, delta: float, num_queries: int, seed) -> np.ndarray:
-    """Each element of [N] joins R independently with probability delta/T^2."""
+    """Each element of [N] joins R independently with probability delta/T^2.
+    TypeError for a query count that is not an integer."""
+    num_queries = operator.index(num_queries)
     if num_queries < 1:
         raise ValueError("query count must be positive for subset sampling")
     p = delta / float(num_queries) ** 2
@@ -297,14 +299,8 @@ def _good_elements(f: PermutationOracle, alg, R: np.ndarray,
 
 
 def _sorted_sample(R, n: int) -> np.ndarray:
-    """R as a sorted int64 array: TypeError for a non-integer element,
-    ValueError for a repeat or an element outside [0, n)."""
-    values = sorted(operator.index(v) for v in R)
-    if values and not 0 <= values[0] <= values[-1] < n:
-        raise ValueError(f"sample {values} has an element outside [0, {n})")
-    if any(a == b for a, b in zip(values, values[1:])):
-        raise ValueError(f"sample {values} repeats an element")
-    return np.array(values, dtype=np.int64)
+    """R read by ``util.read_index_set``, as an int64 array."""
+    return np.array(read_index_set(R, n), dtype=np.int64)
 
 
 def good_set(f: PermutationOracle, family, R, params: CompressionParams) -> np.ndarray:

@@ -10,13 +10,12 @@ adversarial oracle pairs.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .advice import ParityPad, parity_preprocess, read_window
+from .advice import ParityPad, group_boundaries, parity_preprocess, read_window
 from .qsim import (
     FORBIDDEN_MASS_TOL,
     MASS_RANGE,
@@ -30,7 +29,7 @@ from .qsim import (
     run,
     tv_distance,
 )
-from .util import bitstring, int_to_bits, parse_bitstring, read_index, stream_rng
+from .util import bitstring, int_to_bits, parse_bitstring, read_index, read_index_set, stream_rng
 
 SWAP_TOL = 1e-9
 
@@ -59,17 +58,12 @@ def collision_in_window(strings, window: Sequence[int], n: int) -> tuple[int, in
     Bucketing on the coordinates outside the window has only 2^(n - |window|)
     possible keys, so a set larger than that must collide.  Deterministic:
     strings are scanned in increasing order and the first bucket collision is
-    returned.  The window is read by ``advice.read_window``; TypeError for a
-    string that is not an integer, ValueError for one outside [0, 2^n) or a
-    repeated one (the size bound counts distinct strings).
+    returned.  The window is read by ``advice.read_window``, the strings by
+    ``util.read_index_set`` over [0, 2^n) (the size bound counts distinct
+    strings).
     """
     window = read_window(window, n)
-    values = strings.tolist() if isinstance(strings, np.ndarray) else strings
-    xs = sorted(map(operator.index, values))
-    if xs and not 0 <= xs[0] <= xs[-1] < 1 << n:
-        raise ValueError(f"string outside [0, 2^{n})")
-    if any(a == b for a, b in zip(xs, xs[1:])):
-        raise ValueError("the set repeats a string")
+    xs = read_index_set(strings, 1 << n)
     outside_mask = ((1 << n) - 1) ^ sum(1 << i for i in window)
     buckets: dict[int, int] = {}
     for x in xs:
@@ -185,31 +179,16 @@ class BoxTrialRecord:
     expectation: ExpectationReport
 
 
-@dataclass(frozen=True)
-class BoxExperimentResult:
-    n: int
-    m: int
-    records: tuple
-
-    @property
-    def all_swaps_hold(self) -> bool:
-        return all(r.swap.holds for r in self.records)
-
-    @property
-    def all_expectations_hold(self) -> bool:
-        return all(r.expectation.holds for r in self.records)
-
-
 def box_experiment(n: int, m: int,
                    algorithm_factory: Callable[[ParityPad, int], AlgorithmSpec],
-                   trials: int, seed: int) -> BoxExperimentResult:
+                   trials: int, seed: int) -> tuple[BoxTrialRecord, ...]:
     """Per trial: draw an N-bit string and its parity pad over m groups (the
     advice alpha its whole class shares), a random window of m + 1
     coordinates and the pair the pad's ``collision`` builds there; check the
     perturbation bound on the algorithm the factory builds from the pad, and
-    the exact query-mass mean off j of its run on x."""
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < N")
+    the exact query-mass mean off j of its run on x.  ValueError unless
+    1 <= m < N, raised by ``group_boundaries`` before any trial."""
+    group_boundaries(n, m)
     records = []
     for t in range(trials):
         rng = stream_rng(seed, t)
@@ -227,4 +206,4 @@ def box_experiment(n: int, m: int,
             window_mass=float(swap.totals[list(window)].sum()),
             expectation=expectation_check(swap.totals, j, alg.num_queries),
         ))
-    return BoxExperimentResult(n, m, tuple(records))
+    return tuple(records)

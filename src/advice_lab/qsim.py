@@ -49,13 +49,16 @@ class _StateNormError(ValueError):
 @dataclass(frozen=True)
 class BasisLayout:
     """Shape of the register triple.  Basis index = (position, answer, workspace)
-    flattened in row-major order."""
+    flattened in row-major order.  TypeError for a size that is not an
+    integer."""
 
     num_positions: int
     answer_dim: int
     workspace_dim: int = 1
 
     def __post_init__(self):
+        for name in ("num_positions", "answer_dim", "workspace_dim"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.num_positions < 2:
             raise ValueError("need at least two query positions")
         if self.answer_dim < 2 or self.workspace_dim < 1:

@@ -43,6 +43,21 @@ def read_index(value, n: int) -> int:
     return value
 
 
+def read_index_set(values, n: int) -> list[int]:
+    """values as a set of indices of [0, n): a sorted list of Python ints,
+    exact past int64.  TypeError for an element that is not an integer (numpy
+    bools included, as in ``int_array``), ValueError for a repeat or an
+    element outside the range."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        values = values.tolist()
+    items = sorted(map(operator.index, values))
+    if items and not 0 <= items[0] <= items[-1] < n:
+        raise ValueError(f"index set has an element outside [0, {n})")
+    if any(a == b for a, b in zip(items, items[1:])):
+        raise ValueError("index set repeats an element")
+    return items
+
+
 def int_to_bits(value: int, n: int) -> np.ndarray:
     """An n-bit integer as an int64 0/1 array, index 0 = least significant bit,
     exact at any n.  ValueError when it is negative or needs more than n bits."""

@@ -48,7 +48,7 @@ def enumerate_class(n, m, alpha):
     spell alpha, returned in increasing order."""
     xs = np.arange(1 << n, dtype=np.uint64)
     keys = np.zeros(1 << n, dtype=np.uint64)
-    bounds = [int(b) for b in group_boundaries(n, m)] + [n]
+    bounds = group_boundaries(n, m).tolist()
     for g in range(m):
         mask = np.uint64(((1 << bounds[g + 1]) - 1) ^ ((1 << bounds[g]) - 1))
         parity = np.bitwise_count(xs & mask).astype(np.uint64) & np.uint64(1)
@@ -135,7 +135,7 @@ class TestCollisionFinder:
 
     def test_rejects_a_repeated_string(self):
         # one string is not two members: the size bound counts distinct strings
-        with pytest.raises(ValueError, match="repeats a string"):
+        with pytest.raises(ValueError, match="repeats an element"):
             collision_in_window([5, 5], [0], 3)
 
     def test_rejects_when_no_pair_exists(self):
@@ -157,7 +157,7 @@ class TestParityPartitions:
 
     def test_partition_derives_its_group_starts(self):
         pad = ParityAdviceScheme(3).partition(10, "101")
-        assert pad.starts.tolist() == [0, 4, 7] and pad.parities.tolist() == [1, 0, 1]
+        assert pad.bounds.tolist() == [0, 4, 7, 10] and pad.parities.tolist() == [1, 0, 1]
         assert (pad.m, pad.log2_class_size) == (3, 7)
         with pytest.raises(ValueError, match="1 <= m < N"):
             ParityAdviceScheme(3).partition(3, "010")
@@ -362,10 +362,11 @@ class TestExpectationCheck:
 
 class TestBoxExperiment:
     def test_parity_adapter_all_hold(self):
-        result = box_experiment(8, 2, parity_box_algorithm, trials=30, seed=42)
-        assert result.all_swaps_hold
-        assert result.all_expectations_hold
-        for rec in result.records:
+        records = box_experiment(8, 2, parity_box_algorithm, trials=30, seed=42)
+        assert len(records) == 30
+        assert all(rec.swap.holds for rec in records)
+        assert all(rec.expectation.holds for rec in records)
+        for rec in records:
             assert rec.log2_class_size == 6
             assert len(rec.window) == 3
             assert rec.window_mass == float(rec.swap.totals[list(rec.window)].sum())
@@ -375,9 +376,7 @@ class TestBoxExperiment:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_window_and_bound_follow_the_scheme(self, m):
-        result = box_experiment(8, m, parity_box_algorithm, trials=4, seed=m)
-        assert result.m == m
-        for rec in result.records:
+        for rec in box_experiment(8, m, parity_box_algorithm, trials=4, seed=m):
             assert len(rec.window) == m + 1
             assert rec.log2_class_size == 8 - m
             assert rec.eq_bound == pytest.approx(2 * rec.swap.num_queries * math.sqrt((m + 1) / 7))
@@ -392,23 +391,22 @@ class TestBoxExperiment:
                 return step
             return AlgorithmSpec("idle", lay, 0, steps)
 
-        result = box_experiment(8, 2, factory, trials=10, seed=7)
-        for rec in result.records:
+        for rec in box_experiment(8, 2, factory, trials=10, seed=7):
             assert rec.swap.actual == 0.0
             assert rec.swap.bound == 0.0
             assert rec.expectation.mean == 0.0
-        assert result.all_swaps_hold and result.all_expectations_hold
+            assert rec.swap.holds and rec.expectation.holds
 
     @pytest.mark.parametrize("n", [16, 64, 1024])
     def test_past_enumeration_all_hold(self, n):
-        result = box_experiment(n, 2, parity_box_algorithm, trials=6, seed=n)
-        assert result.all_swaps_hold
-        for rec in result.records:
+        for rec in box_experiment(n, 2, parity_box_algorithm, trials=6, seed=n):
+            assert rec.swap.holds
             assert rec.log2_class_size == n - 2
             assert rec.x != rec.y and agree_outside(rec.x, rec.y, rec.window, n)
             assert advice_of(2, rec.x, n) == advice_of(2, rec.y, n) == rec.alpha
 
     @pytest.mark.parametrize("m", [0, 8])
     def test_rejects_bad_m(self, m):
-        with pytest.raises(ValueError, match="1 <= m < N"):
-            box_experiment(8, m, parity_box_algorithm, 1, 0)
+        for trials in (0, 1):  # checked before any trial
+            with pytest.raises(ValueError, match="1 <= m < N"):
+                box_experiment(8, m, parity_box_algorithm, trials, 0)

@@ -1,7 +1,14 @@
-"""Shared helpers: bit packing and bit strings round-trip or fail loudly."""
+"""Shared helpers: bit packing and bit strings round-trip or fail loudly, and
+each input is read by one checker."""
 
 import numpy as np
 import pytest
+
+from advice_lab.adapters import LookupInversion
+from advice_lab.advice import hellman_build, hellman_invert, measure_tradeoff
+from advice_lab.compress import CompressionParams, good_set, sample_R
+from advice_lab.hybrid import collision_in_window
+from advice_lab.qsim import BasisLayout, PermutationOracle
 
 from advice_lab.util import (
     bit_array,
@@ -12,6 +19,7 @@ from advice_lab.util import (
     pack_fields,
     parse_bitstring,
     read_index,
+    read_index_set,
 )
 
 
@@ -64,6 +72,36 @@ class TestReadIndex:
     def test_rejects_other_values(self, value, error):
         with pytest.raises(error):
             read_index(value, 4)
+
+
+class TestReadIndexSet:
+    @pytest.mark.parametrize("values", [[3, 0, 2], (3, 0, 2), np.array([3, 0, 2]),
+                                        np.array([3, 0, 2], dtype=np.uint8), {0, 2, 3}],
+                             ids=["list", "tuple", "int64", "uint8", "set"])
+    def test_reads_a_sorted_list_of_ints(self, values):
+        out = read_index_set(values, 4)
+        assert out == [0, 2, 3] and all(type(v) is int for v in out)
+
+    def test_empty_set(self):
+        assert read_index_set([], 4) == read_index_set(np.zeros(0, dtype=np.int64), 4) == []
+
+    def test_wider_than_int64(self):
+        wide = [(1 << 100) + 1, 1 << 100, 3]
+        assert read_index_set(wide, 1 << 101) == sorted(wide)
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0], np.array([0.5]), ["1"], [0, None],
+                                        np.array([True, False]), np.zeros((2, 2), dtype=int)],
+                             ids=["floats", "float-array", "string", "none", "bool-array", "2-d"])
+    def test_non_integers_raise_type_error(self, values):
+        with pytest.raises(TypeError):
+            read_index_set(values, 4)
+
+    @pytest.mark.parametrize("values, message", [([0, 4], "outside"), ([-1, 2], "outside"),
+                                                 (np.array([2, 1, 2]), "repeats")],
+                             ids=["past-n", "negative", "repeat"])
+    def test_bad_sets_raise_value_error(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            read_index_set(values, 4)
 
 
 class TestIntToBits:
@@ -133,3 +171,37 @@ class TestBitstring:
         assert bitstring([0, 1, 2, 0]) == "0110"
         assert bitstring(np.array([True, False])) == "10"
         assert bitstring([]) == ""
+
+
+def _hellman_size_mismatch():
+    """A table for a permutation of 16, walked against a permutation of 32."""
+    rng = np.random.default_rng(0)
+    table = hellman_build(rng.permutation(16), 2)
+    return hellman_invert(2, table, rng.permutation(32))
+
+
+# Inputs that two copies of one check used to judge differently: each call
+# list must raise one error, with one message.
+DRIFT_CASES = {
+    "bool-index-set": ([
+        lambda: collision_in_window(np.array([True, False]), [0], 2),
+        lambda: good_set(PermutationOracle(np.arange(4)), LookupInversion(), np.array([True]),
+                         CompressionParams(0.2, 0.001)),
+    ], TypeError),
+    "hellman-build-one-element": ([lambda: hellman_build([0], 1)], ValueError),
+    "tradeoff-one-element": ([lambda: measure_tradeoff([0], 1)], ValueError),
+    "layout-float-size": ([lambda: BasisLayout(2.5, 2)], TypeError),
+    "sample-float-query-count": ([lambda: sample_R(16, 0.2, 2.5, 1)], TypeError),
+    "hellman-invert-size-mismatch": ([_hellman_size_mismatch], ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+def test_one_reader_per_decision(case):
+    calls, error = DRIFT_CASES[case]
+    messages = set()
+    for call in calls:
+        with pytest.raises(error) as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1
