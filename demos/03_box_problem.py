@@ -34,7 +34,7 @@ def main():
 
     (big,) = box_experiment(1024, 4, parity_box_algorithm, trials=1, seed=2024)
     print(f"\n  one trial at N=1024, m=4: j={big.j}, class of 2^{big.log2_class_size} "
-          f"strings, T={big.swap.num_queries},\n  bound {big.swap.bound:.4f}, "
+          f"strings, T={big.swap.trace.num_queries},\n  bound {big.swap.bound:.4f}, "
           f"actual {big.swap.actual:.4f}, holds {big.swap.holds}")
     print(f"\n  all perturbation bounds hold: {all(r.swap.holds for r in (*records, big))}")
     print(f"  every mean off j equals T/(N-1): {all(r.expectation.holds for r in records)}")

@@ -3,8 +3,8 @@
 Classical deterministic algorithms are ``ClassicalSpec`` transitions that
 ``qsim.run`` executes as transcripts: each step moves one basis coordinate
 triple (position = next query, workspace = scratch), so each query puts mass
-1 on the position it reads and a run's totals count how often the classical
-execution read each position.
+1 on the position it reads and a run's trace keeps the positions the
+classical execution read, in order.
 
 Inversion algorithms come as families: ``preprocess`` turns an oracle into an
 advice bit string, ``spec`` rebuilds the runnable algorithm from those bits,
@@ -115,7 +115,7 @@ def masked_box_grover(n_positions: int) -> AlgorithmSpec:
     query.  The index is read by ``util.read_index``."""
     iterations = default_grover_iterations(n_positions - 1)
     return amplification_spec(f"box-grover[{iterations}]", n_positions, iterations,
-                              lambda j: np.arange(n_positions) != read_index(j, n_positions), None)
+                              lambda j: np.arange(n_positions) != read_index(j, n_positions))
 
 
 # ---------------------------------------------------------------------------

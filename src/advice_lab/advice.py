@@ -12,6 +12,7 @@ statevector adapters embed these same definitions.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -246,13 +247,12 @@ class HellmanTable:
 
 def hellman_build(f, s: int) -> HellmanTable:
     """Decompose f (read by ``_as_oracle``) into cycles and store anchor pairs
-    every s iterates.  ValueError unless 1 <= s <= N."""
-    table = _as_oracle(f).table
-    n_elems = len(table)
+    every s iterates.  TypeError unless s is an integer, ValueError unless 1 <= s <= N."""
+    succ = _as_oracle(f).table.tolist()
+    n_elems = len(succ)
+    s = operator.index(s)
     if not 1 <= s <= n_elems:
-        raise ValueError("stride out of range")
-    n = ceil_log2(n_elems)
-    succ = table.tolist()
+        raise ValueError("s outside [1, 2^n]")
     seen = bytearray(n_elems)
     pairs = []
     for start in range(n_elems):
@@ -271,7 +271,7 @@ def hellman_build(f, s: int) -> HellmanTable:
             continue
         for k in range(-(-length // s)):
             pairs.append((cycle[k * s], cycle[((k + 1) * s) % length], s))
-    return HellmanTable(n, s, tuple(pairs))
+    return HellmanTable(ceil_log2(n_elems), s, tuple(pairs))
 
 
 def parse_hellman_bits(advice: str, num_positions: int) -> dict[int, int]:

@@ -295,7 +295,7 @@ def _good_elements(f: PermutationOracle, alg, R: np.ndarray,
     run against f."""
     threshold = params.c / alg.num_queries if alg.num_queries > 0 else math.inf
     return {x: final for x, final, trace in _inverted_runs(f, alg, R)
-            if trace.totals[R].sum() - trace.totals[x] <= threshold}
+            if trace.mass_on(R) - trace.mass_on((x,)) <= threshold}
 
 
 def _sorted_sample(R, n: int) -> np.ndarray:

@@ -133,7 +133,7 @@ def cmd_grover(n: int, trials: int, seed: int) -> ResultTable:
             "candidate": candidate,
             "preimage": expected,
             "candidate_correct": candidate == expected,
-            "mass_ok": bool(trace.totals.sum() <= trace.num_queries * MASS_RANGE[1]),
+            "mass_ok": trace.total_mass <= trace.num_queries * MASS_RANGE[1],
         }
 
     rows = _trials(seed, trials, trial)
@@ -158,7 +158,7 @@ def cmd_box(n: int, m: int, trials: int, seed: int) -> ResultTable:
             "log2_class_size": rec.log2_class_size,
             "window": " ".join(str(i) for i in rec.window),
             "delta_size": len(rec.swap.delta_set),
-            "num_queries": rec.swap.num_queries,
+            "num_queries": rec.swap.trace.num_queries,
             "swap_bound": rec.swap.bound,
             "swap_actual": rec.swap.actual,
             "swap_holds": rec.swap.holds,
@@ -360,7 +360,7 @@ def swapping_trials(trials: int, seed: int) -> list:
         rep = verify_swapping(alg, ox, oy, run_input)
         return {
             "trial": t, "algorithm": alg.name, "n": n, "kind": kind,
-            "delta_size": len(rep.delta_set), "num_queries": rep.num_queries,
+            "delta_size": len(rep.delta_set), "num_queries": rep.trace.num_queries,
             "bound": rep.bound, "actual": rep.actual, "holds": rep.holds,
         }
 
@@ -462,13 +462,13 @@ def eq2_trials(trials: int, seed: int) -> list:
             j = int(rng.integers(n))
             alg = _parity_algorithm(bits, 4, j) if kind == "parity" else masked_box_grover(n)
             _, trace = run(alg, BitStringOracle(bits, forbidden=j), j)
-            rep = expectation_check(trace.totals, j, alg.num_queries)
+            rep = expectation_check(trace, j)
             mean, mean_holds = {"mean_qz": rep.mean, "expected_qz": rep.expected}, rep.holds
         else:
             alg = haar_scrambler(BasisLayout(8, 2, 2), 8, int(rng.integers(2 ** 31)))
             bits = rng.integers(0, 2, size=8)
             _, trace = run(alg, BitStringOracle(bits), 0)
-        total = float(trace.totals.sum())
+        total = trace.total_mass
         bounded = total <= trace.num_queries * MASS_RANGE[1]
         exact = total == float(trace.num_queries)
         return {

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .advice import ParityPad, group_boundaries, parity_preprocess, read_window
 from .qsim import (
     FORBIDDEN_MASS_TOL,
@@ -23,6 +21,7 @@ from .qsim import (
     BitStringOracle,
     Oracle,
     PureState,
+    QueryTrace,
     euclidean_distance,
     measurement_distribution,
     oracle_delta,
@@ -93,8 +92,7 @@ class SwapReport:
     actual: float
     delta_set: tuple
     holds: bool
-    num_queries: int
-    totals: np.ndarray  # query-magnitude totals of the first run
+    trace: QueryTrace  # the first run's
 
 
 def verify_swapping(alg: AlgorithmSpec, oracle_x: Oracle, oracle_y: Oracle,
@@ -105,16 +103,14 @@ def verify_swapping(alg: AlgorithmSpec, oracle_x: Oracle, oracle_y: Oracle,
     delta = oracle_delta(oracle_x, oracle_y)
     final_x, trace_x = run(alg, oracle_x, run_input)
     final_y, _ = run(alg, oracle_y, run_input)
-    mass = float(trace_x.totals[delta].sum()) if len(delta) else 0.0
-    bound = perturbation_bound(alg.num_queries, mass)
+    bound = perturbation_bound(alg.num_queries, trace_x.mass_on(delta))
     actual = euclidean_distance(final_x, final_y)
     return SwapReport(
         bound=bound,
         actual=actual,
         delta_set=tuple(int(d) for d in delta),
         holds=actual <= bound + SWAP_TOL,
-        num_queries=alg.num_queries,
-        totals=trace_x.totals,
+        trace=trace_x,
     )
 
 
@@ -149,15 +145,16 @@ class ExpectationReport:
     holds: bool
 
 
-def expectation_check(totals: np.ndarray, j: int, num_queries: int) -> ExpectationReport:
-    """The exact mean (sum(totals) - totals[j]) / (N - 1).  It equals T/(N-1)
-    when the run spent its T units of mass off j, so ``holds`` checks that
-    within the tolerances ``run`` keeps on every step: the totals sum to T
-    within MASS_RANGE and j carries at most T * FORBIDDEN_MASS_TOL.  TypeError
-    for a j that is not an integer, ValueError for one outside [0, N)."""
-    n = len(totals)
+def expectation_check(trace: QueryTrace, j: int) -> ExpectationReport:
+    """The exact mean (total mass - mass on j) / (N - 1) of a run's trace.  It
+    equals T/(N-1) when the run spent its T units of mass off j, so ``holds``
+    checks that within the tolerances ``run`` keeps on every step: the mass
+    sums to T within MASS_RANGE and j carries at most T * FORBIDDEN_MASS_TOL.
+    TypeError for a j that is not an integer, ValueError for one outside
+    [0, N)."""
+    n, num_queries = trace.num_positions, trace.num_queries
     j = read_index(j, n)
-    total, on_j = float(totals.sum()), float(totals[j])
+    total, on_j = trace.total_mass, trace.mass_on((j,))
     holds = (num_queries * MASS_RANGE[0] <= total <= num_queries * MASS_RANGE[1]
              and on_j <= num_queries * FORBIDDEN_MASS_TOL)
     return ExpectationReport(mean=(total - on_j) / (n - 1), expected=num_queries / (n - 1),
@@ -203,7 +200,7 @@ def box_experiment(n: int, m: int,
         records.append(BoxTrialRecord(
             trial=t, j=j, alpha=bitstring(pad.parities), log2_class_size=pad.log2_class_size,
             window=window, x=x, y=y, swap=swap, eq_bound=eq_bound,
-            window_mass=float(swap.totals[list(window)].sum()),
-            expectation=expectation_check(swap.totals, j, alg.num_queries),
+            window_mass=swap.trace.mass_on(window),
+            expectation=expectation_check(swap.trace, j),
         ))
     return tuple(records)

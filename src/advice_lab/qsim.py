@@ -6,16 +6,16 @@ which is unitary for any oracle table.  Between queries a quantum algorithm
 applies arbitrary norm-preserving transformations of the full statevector; a
 classical program (``ClassicalSpec``) runs as its transcript, one coordinate
 triple moved by its transition, and ends in a ``BasisState`` that stores only
-those coordinates.  Every query step is instrumented: the squared amplitude
-mass sitting on each position right before the query is added into the run's
-per-position totals.
+those coordinates.  Every query step is instrumented: a transcript keeps the
+position each query reads, and a dense run adds the squared amplitude mass
+sitting on each position right before the query into per-position totals.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -275,21 +275,61 @@ def _position_mass(amps: np.ndarray, lay: BasisLayout) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QueryTrace:
-    """A run's query magnitudes summed over its T steps: ``totals[i]`` adds up
-    the mass on position i right before each query."""
+    """A run's query record, in the form its run keeps, as its final state is
+    a ``BasisState`` or a ``PureState``: a transcript keeps ``positions``, the
+    T positions it queried in order (read by ``util.int_array``); a dense run
+    keeps ``dense_totals``, whose entry i adds up the mass on position i right
+    before each query.  ``mass_on`` and ``total_mass`` read either form;
+    ``totals`` is the dense view, which a transcript builds only when read."""
 
-    totals: np.ndarray  # shape (N,)
+    num_positions: int
     num_queries: int
+    positions: Optional[np.ndarray] = None
+    dense_totals: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        totals = np.asarray(self.totals, dtype=np.float64)
-        object.__setattr__(self, "totals", totals)
-        if totals.ndim != 1:
+        if (self.positions is None) == (self.dense_totals is None):
+            raise ValueError("a trace keeps either queried positions or dense totals")
+        if self.positions is not None:
+            positions = int_array(self.positions)
+            object.__setattr__(self, "positions", positions)
+            listed = positions.tolist()  # Python's min and max beat numpy's on T entries
+            if len(listed) != self.num_queries:
+                raise ValueError("a transcript reads one position per query")
+            if listed and not 0 <= min(listed) <= max(listed) < self.num_positions:
+                raise ValueError("queried position outside [0, N)")
+            return
+        totals = np.asarray(self.dense_totals, dtype=np.float64)
+        object.__setattr__(self, "dense_totals", totals)
+        if totals.shape != (self.num_positions,):
             raise ValueError("totals must be one value per position")
         if totals.size and not totals.min() >= 0:
             raise ValueError("negative or NaN query magnitude")
         if totals.sum() > self.num_queries * MASS_RANGE[1]:
             raise ValueError("total query magnitude exceeds the query count")
+
+    def mass_on(self, indices) -> float:
+        """The query mass on a set of distinct positions of [0, N): how many
+        of a transcript's queries read one of them, or the sum of a dense
+        run's totals over them."""
+        if self.positions is None:
+            return float(self.dense_totals[np.asarray(indices, dtype=np.int64)].sum())
+        members = set(indices.tolist() if isinstance(indices, np.ndarray) else indices)
+        return float(sum(p in members for p in self.positions.tolist()))
+
+    @property
+    def total_mass(self) -> float:
+        """The mass on every position: T for a transcript."""
+        if self.positions is None:
+            return float(self.dense_totals.sum())
+        return float(self.num_queries)
+
+    @property
+    def totals(self) -> np.ndarray:
+        """Per-position totals; a transcript's count how often it read each position."""
+        if self.positions is None:
+            return self.dense_totals
+        return np.bincount(self.positions, minlength=self.num_positions).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +346,10 @@ class AlgorithmSpec:
     ``steps(run_input)`` returns the step function used for one run; it is
     called with (t, amplitudes) for t = 0..T and must preserve the norm of the
     states it receives (a ``ClassicalSpec`` has no norm to keep: its steps move
-    one basis coordinate triple).  ``derive_oracle`` optionally maps the base
-    oracle plus the run input to the oracle actually queried (e.g. a predicate
-    bit string derived from a permutation); queries to the derived oracle are
-    charged one-for-one.
+    one basis coordinate triple).  ``marks_of(run_input)``, when set, is a 0/1
+    array over the base oracle's answers, and the run queries the bit string
+    ``marks[table]``: position i answers a mark of f(i), so it changes only
+    where the base table changes (e.g. Grover's predicate f(i) == y).
     """
 
     name: str
@@ -317,7 +357,7 @@ class AlgorithmSpec:
     num_queries: int
     steps: Callable[[object], StepFn]
     output_register: str = "position"
-    derive_oracle: Optional[Callable[[Oracle, object], Oracle]] = None
+    marks_of: Optional[Callable[[object], np.ndarray]] = None
 
     def __post_init__(self):
         if self.num_queries < 0:
@@ -334,26 +374,31 @@ class ClassicalSpec(AlgorithmSpec):
 def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, QueryTrace]:
     """Execute: step 0, then T rounds of (record magnitudes, query, step).
 
-    A ``ClassicalSpec`` run ends in a ``BasisState``, its final coordinates
-    (each transition must keep them inside the layout, or ValueError), and
-    each query adds 1 to the total of the position it reads; any other run
-    ends in a dense ``PureState`` and adds each step's position masses into
-    the totals.  NonUnitaryStepError is raised when a dense step leaves the
-    norm more than NORM_TOL from 1: before a query its squared norm is the
-    sum of those masses, and the last step's norm is PureState's own check."""
-    effective = alg.derive_oracle(oracle, run_input) if alg.derive_oracle else oracle
+    A spec with ``marks_of`` queries the bit string its marks make of the
+    oracle.  A ``ClassicalSpec`` run ends in a ``BasisState``, its final
+    coordinates (each transition must keep them inside the layout, or
+    ValueError), and its trace keeps the position each query reads; any other
+    run ends in a dense ``PureState`` and adds each step's position masses
+    into its trace's totals.  NonUnitaryStepError is raised when a dense step
+    leaves the norm more than NORM_TOL from 1: before a query its squared norm
+    is the sum of those masses, and the last step's norm is PureState's own
+    check."""
+    if alg.marks_of is not None:
+        oracle = BitStringOracle(alg.marks_of(run_input)[oracle.table], oracle.forbidden)
     lay, num_queries = alg.layout, alg.num_queries
-    _check_layout(lay, effective)
+    _check_layout(lay, oracle)
     step = alg.steps(run_input)
-    totals = np.zeros(lay.num_positions, dtype=np.float64)
     if isinstance(alg, ClassicalSpec):
         pos, ans, work = lay.check(*step(0, 0, 0, 0))
+        queried = []
         for t in range(num_queries):
-            _check_forbidden(effective, pos)
-            totals[pos] += 1.0
-            pos, ans, work = lay.check(*step(t + 1, pos, ans ^ int(effective.table[pos]), work))
-        return BasisState(lay, (pos, ans, work)), QueryTrace(totals, num_queries)
-    index = _gather_index(lay, effective)
+            _check_forbidden(oracle, pos)
+            queried.append(pos)
+            pos, ans, work = lay.check(*step(t + 1, pos, ans ^ int(oracle.table[pos]), work))
+        return (BasisState(lay, (pos, ans, work)),
+                QueryTrace(lay.num_positions, num_queries, positions=queried))
+    index = _gather_index(lay, oracle)
+    totals = np.zeros(lay.num_positions, dtype=np.float64)
     amps = np.zeros(lay.dim, dtype=np.complex128)
     amps[0] = 1.0
     for t in range(num_queries):
@@ -363,7 +408,7 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, Quer
         if not MASS_RANGE[0] <= squared_norm <= MASS_RANGE[1]:
             raise NonUnitaryStepError(
                 f"step {t} of {alg.name} produced norm {math.sqrt(squared_norm)}")
-        _check_forbidden(effective, mass)
+        _check_forbidden(oracle, mass)
         totals += mass
         amps = amps[index]
     amps = step(num_queries, amps)
@@ -371,7 +416,7 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, Quer
         final = PureState(amps, lay)
     except _StateNormError as err:
         raise NonUnitaryStepError(f"step {num_queries} of {alg.name}: {err}") from err
-    return final, QueryTrace(totals, num_queries)
+    return final, QueryTrace(lay.num_positions, num_queries, dense_totals=totals)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +477,7 @@ def default_grover_iterations(n_elements: int) -> int:
 
 
 def amplification_spec(name: str, n_positions: int, iterations: int,
-                       allowed_of: Callable[[object], np.ndarray],
-                       derive_oracle: Optional[Callable[[Oracle, object], Oracle]]) -> AlgorithmSpec:
+                       allowed_of: Callable[[object], np.ndarray]) -> AlgorithmSpec:
     """Amplitude amplification over the positions ``allowed_of(run_input)``
     marks True, one query per round.
 
@@ -458,22 +502,16 @@ def amplification_spec(name: str, n_positions: int, iterations: int,
             return out.reshape(-1)
         return step
 
-    return AlgorithmSpec(name, BasisLayout(n_positions, 2, 1), iterations, steps, "position",
-                         derive_oracle)
+    return AlgorithmSpec(name, BasisLayout(n_positions, 2, 1), iterations, steps, "position")
 
 
 def grover_spec(n_elements: int, iterations: int) -> AlgorithmSpec:
     """Search every position for the unique one whose image is the run input:
     TypeError for an input that is not an integer, ValueError for one outside
     [0, N)."""
-
-    def derive(oracle: Oracle, run_input) -> BitStringOracle:
-        y = read_index(run_input, n_elements)
-        marks = (np.asarray(oracle.table) == y).astype(np.int64)
-        return BitStringOracle(marks)
-
-    return amplification_spec(f"grover[{iterations}]", n_elements, iterations,
-                              lambda _run_input: np.ones(n_elements, dtype=bool), derive)
+    spec = amplification_spec(f"grover[{iterations}]", n_elements, iterations,
+                              lambda _run_input: np.ones(n_elements, dtype=bool))
+    return replace(spec, marks_of=lambda y: np.arange(n_elements) == read_index(y, n_elements))
 
 
 def grover_invert(f: PermutationOracle, y: int):

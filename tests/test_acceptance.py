@@ -201,7 +201,7 @@ def test_criterion_11_box_expectation():
         for j in range(n):
             alg = factory(bits, j)
             _, trace = run(alg, BitStringOracle(bits, forbidden=j), j)
-            rep = expectation_check(trace.totals, j, alg.num_queries)
+            rep = expectation_check(trace, j)
             holds += rep.holds
             worst = max(worst, abs(rep.mean - rep.expected))
         ok = ok and holds == n

@@ -416,6 +416,19 @@ class TestHellmanTable:
         with pytest.raises(ValueError, match="not a permutation|values out of range"):
             measure_tradeoff(np.array(f), 2)
 
+    @pytest.mark.parametrize("f", [np.arange(4), np.array([1, 2, 3, 0])],
+                             ids=["fixed-points", "one-cycle"])
+    def test_stride_read_as_an_integer(self, f):
+        # the stride builds a table that from_json reloads, or fails as from_json does
+        with pytest.raises(TypeError):
+            hellman_build(f, 1.5)
+        for s in (0, 5):
+            with pytest.raises(ValueError, match=r"s outside \[1, 2\^n\]"):
+                hellman_build(f, s)
+        table = hellman_build(f, np.int64(2))
+        assert type(table.s) is int
+        assert HellmanTable.from_json(table.to_json()) == table
+
     def test_bit_accounting(self):
         f = np.random.default_rng(9).permutation(64)
         table = hellman_build(f, 8)

@@ -25,6 +25,7 @@ from advice_lab.qsim import (
     FunctionOracle,
     PermutationOracle,
     PureState,
+    QueryTrace,
     default_grover_iterations,
     grover_spec,
     run,
@@ -256,9 +257,9 @@ class TestVerifySwapping:
         alg = grover_spec(4, 1)
         rep = verify_swapping(alg, PermutationOracle(np.array([0, 1, 2, 3])),
                               PermutationOracle(np.array([1, 0, 2, 3])), 0)
-        mass = float(rep.totals[list(rep.delta_set)].sum())
+        mass = rep.trace.mass_on(rep.delta_set)
         assert rep.actual == pytest.approx(math.sqrt(2))
-        assert rep.actual > math.sqrt(rep.num_queries * mass) + 1e-9
+        assert rep.actual > math.sqrt(rep.trace.num_queries * mass) + 1e-9
         assert rep.bound == perturbation_bound(1, mass) == pytest.approx(math.sqrt(2))
         assert rep.holds
 
@@ -268,10 +269,11 @@ class TestVerifySwapping:
         for _ in range(300):
             alg, ox, oy, run_input = perturbation_instance(rng)
             rep = verify_swapping(alg, ox, oy, run_input)
-            mass = float(rep.totals[list(rep.delta_set)].sum())
-            assert rep.bound == perturbation_bound(rep.num_queries, mass)
-            assert rep.actual <= 2 * math.sqrt(rep.num_queries * mass) + 1e-9
-            needed += rep.actual > math.sqrt(rep.num_queries * mass) + 1e-9
+            mass = rep.trace.mass_on(rep.delta_set)
+            num_queries = rep.trace.num_queries
+            assert rep.bound == perturbation_bound(num_queries, mass)
+            assert rep.actual <= 2 * math.sqrt(num_queries * mass) + 1e-9
+            needed += rep.actual > math.sqrt(num_queries * mass) + 1e-9
         assert needed > 0
 
     def test_oracle_shape_mismatch(self):
@@ -332,32 +334,37 @@ class TestExpectationCheck:
         pad = parity_preprocess(bits, 1)
         alg = parity_box_algorithm(pad, 9)
         _, trace = run(alg, BitStringOracle(bits, forbidden=9), 9)
-        rep = expectation_check(trace.totals, 9, alg.num_queries)
+        rep = expectation_check(trace, 9)
         assert rep.expected == 1.0
         assert rep.mean == 1.0
         assert rep.holds
 
     def test_hand_made_totals(self):
+        def check(totals):
+            return expectation_check(QueryTrace(16, 15, dense_totals=totals), 4)
+
         # T = 15 at N = 16: one unit on every position but j = 4
         exact = np.ones(16)
         exact[4] = 0.0
-        rep = expectation_check(exact, 4, 15)
+        rep = check(exact)
         assert rep.mean == rep.expected == 1.0 and rep.holds
         # dense box-Grover totals differ from T by rounding of this size
-        assert expectation_check(exact * (1 + 1.8e-13), 4, 15).holds
-        for shift in (1e-6, -1e-6):  # the sum is off T
-            off = exact.copy()
-            off[0] += shift
-            assert not expectation_check(off, 4, 15).holds
+        assert check(exact * (1 + 1.8e-13)).holds
+        off = exact.copy()  # the sum is off T: above it, the trace itself refuses
+        off[0] += 1e-6
+        with pytest.raises(ValueError, match="exceeds the query count"):
+            check(off)
+        off[0] -= 2e-6
+        assert not check(off).holds
         on_j = exact.copy()  # the sum is T, but j carries mass
         on_j[7], on_j[4] = 1 - 1e-6, 1e-6
-        assert not expectation_check(on_j, 4, 15).holds
+        assert not check(on_j).holds
 
     @pytest.mark.parametrize("j, error", [(20, ValueError), (-1, ValueError), (2.5, TypeError)],
                              ids=["past-N", "negative", "non-integer"])
     def test_rejects_a_bad_forbidden_index(self, j, error):
         with pytest.raises(error):
-            expectation_check(np.arange(16.0), j, 15)
+            expectation_check(QueryTrace(16, 120, dense_totals=np.arange(16.0)), j)
 
 
 class TestBoxExperiment:
@@ -369,7 +376,7 @@ class TestBoxExperiment:
         for rec in records:
             assert rec.log2_class_size == 6
             assert len(rec.window) == 3
-            assert rec.window_mass == float(rec.swap.totals[list(rec.window)].sum())
+            assert rec.window_mass == float(rec.swap.trace.totals[list(rec.window)].sum())
             # pair members really sit in the advice class and differ inside it
             outside = ((1 << 8) - 1) ^ sum(1 << i for i in rec.window)
             assert (rec.x ^ rec.y) & outside == 0
@@ -379,7 +386,8 @@ class TestBoxExperiment:
         for rec in box_experiment(8, m, parity_box_algorithm, trials=4, seed=m):
             assert len(rec.window) == m + 1
             assert rec.log2_class_size == 8 - m
-            assert rec.eq_bound == pytest.approx(2 * rec.swap.num_queries * math.sqrt((m + 1) / 7))
+            assert rec.eq_bound == pytest.approx(
+                2 * rec.swap.trace.num_queries * math.sqrt((m + 1) / 7))
 
     def test_zero_query_algorithm_gives_zero_distances(self):
         lay = BasisLayout(8, 2, 1)

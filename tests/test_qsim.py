@@ -232,27 +232,50 @@ class TestQueryMagnitudes:
 
 class TestQueryTrace:
     def test_holds_totals_and_query_count(self):
-        trace = QueryTrace([1, 2, 0], 3)
+        trace = QueryTrace(3, 3, dense_totals=[1, 2, 0])
         assert trace.totals.dtype == np.float64
         assert np.array_equal(trace.totals, [1.0, 2.0, 0.0])
         assert trace.num_queries == 3
-        assert [f.name for f in dataclasses.fields(QueryTrace)] == ["totals", "num_queries"]
+        assert [f.name for f in dataclasses.fields(QueryTrace)] == [
+            "num_positions", "num_queries", "positions", "dense_totals"]
+        # a transcript that read 1, 0, 1 has the same dense view
+        transcript = QueryTrace(3, 3, positions=[np.int64(1), 0, 1])
+        assert transcript.positions.dtype == np.int64
+        assert transcript.positions.tolist() == [1, 0, 1]
+        assert transcript.totals.dtype == np.float64
+        assert np.array_equal(transcript.totals, [1.0, 2.0, 0.0])
 
     def test_accepts_mass_up_to_the_tolerance(self):
-        QueryTrace(np.array([0.5, MASS_RANGE[1] - 0.5]), 1)
-        QueryTrace(np.zeros(3), 0)
+        QueryTrace(2, 1, dense_totals=np.array([0.5, MASS_RANGE[1] - 0.5]))
+        QueryTrace(3, 0, dense_totals=np.zeros(3))
+        assert QueryTrace(3, 0, positions=()).total_mass == 0.0
 
     def test_rejects_bad_totals(self):
         with pytest.raises(ValueError, match="negative"):
-            QueryTrace(np.array([-0.1, 0.5]), 1)
+            QueryTrace(2, 1, dense_totals=np.array([-0.1, 0.5]))
         with pytest.raises(ValueError, match="NaN"):
-            QueryTrace(np.array([np.nan, 0.5]), 1)
+            QueryTrace(2, 1, dense_totals=np.array([np.nan, 0.5]))
         with pytest.raises(ValueError, match="exceeds the query count"):
-            QueryTrace(np.array([0.7, 0.7]), 1)
+            QueryTrace(2, 1, dense_totals=np.array([0.7, 0.7]))
         with pytest.raises(ValueError, match="exceeds the query count"):
-            QueryTrace(np.array([0.5, 0.5]), 0)
+            QueryTrace(2, 0, dense_totals=np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="one value per position"):
-            QueryTrace(np.zeros((2, 3)), 2)
+            QueryTrace(2, 2, dense_totals=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="one value per position"):
+            QueryTrace(3, 2, dense_totals=np.zeros(2))
+
+    def test_rejects_bad_positions(self):
+        with pytest.raises(ValueError, match="one position per query"):
+            QueryTrace(4, 2, positions=(1,))
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match=r"outside \[0, N\)"):
+                QueryTrace(4, 2, positions=(1, bad))
+        with pytest.raises(TypeError):
+            QueryTrace(4, 1, positions=(1.0,))
+        with pytest.raises(ValueError, match="either"):
+            QueryTrace(4, 0)
+        with pytest.raises(ValueError, match="either"):
+            QueryTrace(4, 0, positions=(), dense_totals=np.zeros(4))
 
 
 class TestRun:
@@ -429,6 +452,37 @@ def test_run_peak_memory_stays_under_one_mib(case):
         tracemalloc.stop()
     assert trace.totals.sum() == alg.num_queries
     assert peak < 2 ** 20
+
+
+def test_transcript_run_allocates_nothing_of_size_n():
+    # one float64 per position would take 512 KiB at N = 2^16
+    alg, oracle, run_input = _hellman_run()
+    run(alg, oracle, run_input)
+    tracemalloc.start()
+    try:
+        _, trace = run(alg, oracle, run_input)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.positions) == alg.num_queries == 10
+    assert peak < 4096
+
+
+@pytest.mark.parametrize("alg, oracle, run_input", _differential_cases())
+def test_mass_readers_match_the_dense_totals(alg, oracle, run_input):
+    """mass_on and total_mass against the dense view, over the index sets
+    callers pass: sorted arrays as a disagreement set or a sample R is, a
+    window tuple, the empty set and every single index."""
+    _, trace = run(alg, oracle, run_input)
+    assert (trace.positions is None) != isinstance(alg, ClassicalSpec)
+    n = trace.num_positions
+    rng = np.random.default_rng(n + run_input)
+    arrays = [np.flatnonzero(rng.random(n) < p) for p in (0.2, 0.5)]
+    window = tuple(sorted(rng.choice(n, size=3, replace=False).tolist()))
+    for indices in [*arrays, window, (), np.array([], dtype=np.int64), *((k,) for k in range(n))]:
+        expected = trace.totals[np.asarray(indices, dtype=np.int64)].sum()
+        assert trace.mass_on(indices) == expected, indices
+    assert trace.total_mass == trace.totals.sum()
 
 
 class TestClassicalRun:
