@@ -12,12 +12,14 @@ from .qsim import (
     BasisState,
     BitStringOracle,
     ClassicalSpec,
+    DenseTrace,
     ForbiddenIndexError,
     FunctionOracle,
     NonUnitaryStepError,
     PermutationOracle,
     PureState,
     QueryTrace,
+    Transcript,
     apply_oracle,
     default_grover_iterations,
     euclidean_distance,

@@ -252,7 +252,7 @@ def sample_R(n_elements: int, delta: float, num_queries: int, seed) -> np.ndarra
     p = delta / float(num_queries) ** 2
     if not 0 < p <= 1:
         raise ValueError(f"inclusion probability {p} outside (0, 1]")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator comes back unchanged
     return np.flatnonzero(rng.random(n_elements) < p).astype(np.int64)
 
 
@@ -485,8 +485,10 @@ class CountingReport:
 
 
 def counting_check(x_size_log2: float, enc_bits_max: float, c: float = 0.8) -> CountingReport:
-    """A decoder that succeeds with probability c for every input forces the
-    codomain to hold at least c|X| values: log2(c) + log2|X| <= encoding bits."""
+    """A decoder that succeeds with probability c in (0, 1] (else ValueError)
+    on every input needs c|X| codewords: log2(c) + log2|X| <= encoding bits."""
+    if not 0 < c <= 1:
+        raise ValueError(f"success probability c={c} outside (0, 1]")
     required = math.log2(c) + x_size_log2
     return CountingReport(
         holds=required <= enc_bits_max + 1e-12,

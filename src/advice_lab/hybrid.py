@@ -149,14 +149,14 @@ def expectation_check(trace: QueryTrace, j: int) -> ExpectationReport:
     """The exact mean (total mass - mass on j) / (N - 1) of a run's trace.  It
     equals T/(N-1) when the run spent its T units of mass off j, so ``holds``
     checks that within the tolerances ``run`` keeps on every step: the mass
-    sums to T within MASS_RANGE and j carries at most T * FORBIDDEN_MASS_TOL.
+    is at least T * MASS_RANGE[0] (the trace itself refuses more than
+    T * MASS_RANGE[1]) and j carries at most T * FORBIDDEN_MASS_TOL.
     TypeError for a j that is not an integer, ValueError for one outside
     [0, N)."""
     n, num_queries = trace.num_positions, trace.num_queries
     j = read_index(j, n)
     total, on_j = trace.total_mass, trace.mass_on((j,))
-    holds = (num_queries * MASS_RANGE[0] <= total <= num_queries * MASS_RANGE[1]
-             and on_j <= num_queries * FORBIDDEN_MASS_TOL)
+    holds = num_queries * MASS_RANGE[0] <= total and on_j <= num_queries * FORBIDDEN_MASS_TOL
     return ExpectationReport(mean=(total - on_j) / (n - 1), expected=num_queries / (n - 1),
                              holds=holds)
 

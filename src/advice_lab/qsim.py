@@ -6,9 +6,9 @@ which is unitary for any oracle table.  Between queries a quantum algorithm
 applies arbitrary norm-preserving transformations of the full statevector; a
 classical program (``ClassicalSpec``) runs as its transcript, one coordinate
 triple moved by its transition, and ends in a ``BasisState`` that stores only
-those coordinates.  Every query step is instrumented: a transcript keeps the
-position each query reads, and a dense run adds the squared amplitude mass
-sitting on each position right before the query into per-position totals.
+those coordinates.  Every query step is instrumented: a ``Transcript`` keeps
+the position each query reads, and a ``DenseTrace`` adds the squared amplitude
+mass sitting on each position right before the query into per-position totals.
 """
 
 from __future__ import annotations
@@ -274,62 +274,70 @@ def _position_mass(amps: np.ndarray, lay: BasisLayout) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class QueryTrace:
-    """A run's query record, in the form its run keeps, as its final state is
-    a ``BasisState`` or a ``PureState``: a transcript keeps ``positions``, the
-    T positions it queried in order (read by ``util.int_array``); a dense run
-    keeps ``dense_totals``, whose entry i adds up the mass on position i right
-    before each query.  ``mass_on`` and ``total_mass`` read either form;
-    ``totals`` is the dense view, which a transcript builds only when read."""
+class Transcript:
+    """A classical run's query record: the T positions it queried, in order, each
+    in [0, N).  ``mass_on`` counts the queries that read a set of distinct
+    positions; ``totals`` counts each position's reads, built only when read."""
 
     num_positions: int
-    num_queries: int
-    positions: Optional[np.ndarray] = None
-    dense_totals: Optional[np.ndarray] = None
+    positions: np.ndarray
 
     def __post_init__(self):
-        if (self.positions is None) == (self.dense_totals is None):
-            raise ValueError("a trace keeps either queried positions or dense totals")
-        if self.positions is not None:
-            positions = int_array(self.positions)
-            object.__setattr__(self, "positions", positions)
-            listed = positions.tolist()  # Python's min and max beat numpy's on T entries
-            if len(listed) != self.num_queries:
-                raise ValueError("a transcript reads one position per query")
-            if listed and not 0 <= min(listed) <= max(listed) < self.num_positions:
-                raise ValueError("queried position outside [0, N)")
-            return
-        totals = np.asarray(self.dense_totals, dtype=np.float64)
-        object.__setattr__(self, "dense_totals", totals)
-        if totals.shape != (self.num_positions,):
+        positions = int_array(self.positions)
+        object.__setattr__(self, "positions", positions)
+        listed = positions.tolist()  # Python's min and max beat numpy's on T entries
+        if listed and not 0 <= min(listed) <= max(listed) < self.num_positions:
+            raise ValueError("queried position outside [0, N)")
+
+    @property
+    def num_queries(self) -> int:
+        return len(self.positions)
+
+    def mass_on(self, indices) -> float:
+        members = set(indices.tolist() if isinstance(indices, np.ndarray) else indices)
+        return float(sum(p in members for p in self.positions.tolist()))
+
+    @property
+    def total_mass(self) -> float:
+        return float(len(self.positions))
+
+    @property
+    def totals(self) -> np.ndarray:
+        return np.bincount(self.positions, minlength=self.num_positions).astype(np.float64)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseTrace:
+    """A dense run's query record: N nonnegative totals, entry i the mass on
+    position i summed over the T queries, at most T * MASS_RANGE[1] in all.
+    ``mass_on`` sums them over a set of distinct positions."""
+
+    num_queries: int
+    totals: np.ndarray
+
+    def __post_init__(self):
+        totals = np.asarray(self.totals, dtype=np.float64)
+        object.__setattr__(self, "totals", totals)
+        if totals.ndim != 1:
             raise ValueError("totals must be one value per position")
         if totals.size and not totals.min() >= 0:
             raise ValueError("negative or NaN query magnitude")
         if totals.sum() > self.num_queries * MASS_RANGE[1]:
             raise ValueError("total query magnitude exceeds the query count")
 
+    @property
+    def num_positions(self) -> int:
+        return len(self.totals)
+
     def mass_on(self, indices) -> float:
-        """The query mass on a set of distinct positions of [0, N): how many
-        of a transcript's queries read one of them, or the sum of a dense
-        run's totals over them."""
-        if self.positions is None:
-            return float(self.dense_totals[np.asarray(indices, dtype=np.int64)].sum())
-        members = set(indices.tolist() if isinstance(indices, np.ndarray) else indices)
-        return float(sum(p in members for p in self.positions.tolist()))
+        return float(self.totals[np.asarray(indices, dtype=np.int64)].sum())
 
     @property
     def total_mass(self) -> float:
-        """The mass on every position: T for a transcript."""
-        if self.positions is None:
-            return float(self.dense_totals.sum())
-        return float(self.num_queries)
+        return float(self.totals.sum())
 
-    @property
-    def totals(self) -> np.ndarray:
-        """Per-position totals; a transcript's count how often it read each position."""
-        if self.positions is None:
-            return self.dense_totals
-        return np.bincount(self.positions, minlength=self.num_positions).astype(np.float64)
+
+QueryTrace = Transcript | DenseTrace
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +385,12 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, Quer
     A spec with ``marks_of`` queries the bit string its marks make of the
     oracle.  A ``ClassicalSpec`` run ends in a ``BasisState``, its final
     coordinates (each transition must keep them inside the layout, or
-    ValueError), and its trace keeps the position each query reads; any other
-    run ends in a dense ``PureState`` and adds each step's position masses
-    into its trace's totals.  NonUnitaryStepError is raised when a dense step
-    leaves the norm more than NORM_TOL from 1: before a query its squared norm
-    is the sum of those masses, and the last step's norm is PureState's own
-    check."""
+    ValueError), and its ``Transcript`` keeps the position each query reads;
+    any other run ends in a dense ``PureState`` and adds each step's position
+    masses into its ``DenseTrace``'s totals.  NonUnitaryStepError is raised
+    when a dense step leaves the norm more than NORM_TOL from 1: before a
+    query its squared norm is the sum of those masses, and the last step's
+    norm is PureState's own check."""
     if alg.marks_of is not None:
         oracle = BitStringOracle(alg.marks_of(run_input)[oracle.table], oracle.forbidden)
     lay, num_queries = alg.layout, alg.num_queries
@@ -395,8 +403,7 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, Quer
             _check_forbidden(oracle, pos)
             queried.append(pos)
             pos, ans, work = lay.check(*step(t + 1, pos, ans ^ int(oracle.table[pos]), work))
-        return (BasisState(lay, (pos, ans, work)),
-                QueryTrace(lay.num_positions, num_queries, positions=queried))
+        return BasisState(lay, (pos, ans, work)), Transcript(lay.num_positions, queried)
     index = _gather_index(lay, oracle)
     totals = np.zeros(lay.num_positions, dtype=np.float64)
     amps = np.zeros(lay.dim, dtype=np.complex128)
@@ -416,7 +423,7 @@ def run(alg: AlgorithmSpec, oracle: Oracle, run_input=None) -> tuple[State, Quer
         final = PureState(amps, lay)
     except _StateNormError as err:
         raise NonUnitaryStepError(f"step {num_queries} of {alg.name}: {err}") from err
-    return final, QueryTrace(lay.num_positions, num_queries, dense_totals=totals)
+    return final, DenseTrace(num_queries, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +437,7 @@ def measurement_distribution(state: State, register: str = "position") -> np.nda
         dist = np.zeros(state.layout.shape[axis])
         dist[state.coords[axis]] = 1.0
         return dist
-    probs = np.abs(state.grid()) ** 2
-    other = tuple(i for i in range(3) if i != axis)
-    dist = probs.sum(axis=other)
-    total = dist.sum()
-    if not MASS_RANGE[0] <= total <= MASS_RANGE[1]:
-        raise ValueError(f"distribution sums to {total}")
-    return dist
+    return (np.abs(state.grid()) ** 2).sum(axis=tuple(i for i in range(3) if i != axis))
 
 
 def top_two(state: State, register: str = "position") -> tuple[int, float, float]:

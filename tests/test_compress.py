@@ -264,6 +264,14 @@ class TestParamsAndSampling:
         with pytest.raises(ValueError):
             sample_R(8, 0.5, 0, 0)
 
+    def test_a_generator_is_drawn_from_in_place(self):
+        rng = np.random.default_rng(5)
+        first, second = sample_R(64, 0.5, 1, rng), sample_R(64, 0.5, 1, rng)
+        assert np.array_equal(first, sample_R(64, 0.5, 1, 5))
+        reference = np.random.default_rng(5)
+        reference.random(64)
+        assert np.array_equal(second, np.flatnonzero(reference.random(64) < 0.5))
+
     def test_binomial_statistics(self):
         n, p = 10_000, 0.1
         sizes = [len(sample_R(n, 0.1, 1, seed)) for seed in range(100)]
@@ -690,6 +698,11 @@ class TestCounting:
         rep = counting_check(x_bits, enc_bits, c=0.8)
         assert rep.holds
         assert rep.slack_bits == pytest.approx(5.0 - math.log2(0.8))
+
+    @pytest.mark.parametrize("c", [0.0, -0.5, 1.5, math.nan])
+    def test_rejects_a_success_probability_outside_the_unit_interval(self, c):
+        with pytest.raises(ValueError, match=r"c=.* outside \(0, 1\]"):
+            counting_check(10.0, 10.0, c=c)
 
 
 class TestComponentBits:

@@ -24,8 +24,9 @@ from advice_lab.qsim import (
     BitStringOracle,
     FunctionOracle,
     PermutationOracle,
+    DenseTrace,
     PureState,
-    QueryTrace,
+    Transcript,
     default_grover_iterations,
     grover_spec,
     run,
@@ -289,13 +290,13 @@ def test_types_holding_arrays_compare_by_identity():
         final, trace = run(grover_spec(4, 1), PermutationOracle(np.arange(4)), 1)
         report = verify_swapping(masked_box_grover(4), BitStringOracle(bits, forbidden=0),
                                  BitStringOracle(bits, forbidden=0), 0)
-        return (final, trace, FunctionOracle(np.arange(4)), PermutationOracle(np.arange(4)),
-                BitStringOracle(bits), report)
+        return (final, trace, Transcript(4, [1, 2]), FunctionOracle(np.arange(4)),
+                PermutationOracle(np.arange(4)), BitStringOracle(bits), report)
 
     firsts, seconds = make(), make()
     assert [type(a).__name__ for a in firsts] == [
-        "PureState", "QueryTrace", "FunctionOracle", "PermutationOracle", "BitStringOracle",
-        "SwapReport"]
+        "PureState", "DenseTrace", "Transcript", "FunctionOracle", "PermutationOracle",
+        "BitStringOracle", "SwapReport"]
     for a, b in zip(firsts, seconds):
         assert (a == a) is True and (a == b) is False and (a != b) is True
 
@@ -341,7 +342,7 @@ class TestExpectationCheck:
 
     def test_hand_made_totals(self):
         def check(totals):
-            return expectation_check(QueryTrace(16, 15, dense_totals=totals), 4)
+            return expectation_check(DenseTrace(15, totals), 4)
 
         # T = 15 at N = 16: one unit on every position but j = 4
         exact = np.ones(16)
@@ -364,7 +365,7 @@ class TestExpectationCheck:
                              ids=["past-N", "negative", "non-integer"])
     def test_rejects_a_bad_forbidden_index(self, j, error):
         with pytest.raises(error):
-            expectation_check(QueryTrace(16, 120, dense_totals=np.arange(16.0)), j)
+            expectation_check(DenseTrace(120, np.arange(16.0)), j)
 
 
 class TestBoxExperiment:

@@ -22,12 +22,14 @@ from advice_lab.qsim import (
     BasisState,
     BitStringOracle,
     ClassicalSpec,
+    DenseTrace,
     ForbiddenIndexError,
     FunctionOracle,
     NonUnitaryStepError,
     PermutationOracle,
     PureState,
     QueryTrace,
+    Transcript,
     apply_oracle,
     default_grover_iterations,
     euclidean_distance,
@@ -232,50 +234,44 @@ class TestQueryMagnitudes:
 
 class TestQueryTrace:
     def test_holds_totals_and_query_count(self):
-        trace = QueryTrace(3, 3, dense_totals=[1, 2, 0])
+        trace = DenseTrace(3, [1, 2, 0])
         assert trace.totals.dtype == np.float64
         assert np.array_equal(trace.totals, [1.0, 2.0, 0.0])
-        assert trace.num_queries == 3
-        assert [f.name for f in dataclasses.fields(QueryTrace)] == [
-            "num_positions", "num_queries", "positions", "dense_totals"]
-        # a transcript that read 1, 0, 1 has the same dense view
-        transcript = QueryTrace(3, 3, positions=[np.int64(1), 0, 1])
+        assert trace.num_queries == 3 and trace.num_positions == 3
+        assert [f.name for f in dataclasses.fields(DenseTrace)] == ["num_queries", "totals"]
+        assert [f.name for f in dataclasses.fields(Transcript)] == ["num_positions", "positions"]
+        # a transcript that read 1, 0, 1 has the same dense view, and T = 3 reads
+        transcript = Transcript(3, [np.int64(1), 0, 1])
         assert transcript.positions.dtype == np.int64
         assert transcript.positions.tolist() == [1, 0, 1]
+        assert transcript.num_queries == transcript.total_mass == 3
         assert transcript.totals.dtype == np.float64
         assert np.array_equal(transcript.totals, [1.0, 2.0, 0.0])
+        assert isinstance(trace, QueryTrace) and isinstance(transcript, QueryTrace)
 
     def test_accepts_mass_up_to_the_tolerance(self):
-        QueryTrace(2, 1, dense_totals=np.array([0.5, MASS_RANGE[1] - 0.5]))
-        QueryTrace(3, 0, dense_totals=np.zeros(3))
-        assert QueryTrace(3, 0, positions=()).total_mass == 0.0
+        DenseTrace(1, np.array([0.5, MASS_RANGE[1] - 0.5]))
+        DenseTrace(0, np.zeros(3))
+        assert Transcript(3, ()).total_mass == 0.0
 
     def test_rejects_bad_totals(self):
         with pytest.raises(ValueError, match="negative"):
-            QueryTrace(2, 1, dense_totals=np.array([-0.1, 0.5]))
+            DenseTrace(1, np.array([-0.1, 0.5]))
         with pytest.raises(ValueError, match="NaN"):
-            QueryTrace(2, 1, dense_totals=np.array([np.nan, 0.5]))
+            DenseTrace(1, np.array([np.nan, 0.5]))
         with pytest.raises(ValueError, match="exceeds the query count"):
-            QueryTrace(2, 1, dense_totals=np.array([0.7, 0.7]))
+            DenseTrace(1, np.array([0.7, 0.7]))
         with pytest.raises(ValueError, match="exceeds the query count"):
-            QueryTrace(2, 0, dense_totals=np.array([0.5, 0.5]))
+            DenseTrace(0, np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="one value per position"):
-            QueryTrace(2, 2, dense_totals=np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="one value per position"):
-            QueryTrace(3, 2, dense_totals=np.zeros(2))
+            DenseTrace(2, np.zeros((2, 3)))
 
     def test_rejects_bad_positions(self):
-        with pytest.raises(ValueError, match="one position per query"):
-            QueryTrace(4, 2, positions=(1,))
         for bad in (4, -1):
             with pytest.raises(ValueError, match=r"outside \[0, N\)"):
-                QueryTrace(4, 2, positions=(1, bad))
+                Transcript(4, (1, bad))
         with pytest.raises(TypeError):
-            QueryTrace(4, 1, positions=(1.0,))
-        with pytest.raises(ValueError, match="either"):
-            QueryTrace(4, 0)
-        with pytest.raises(ValueError, match="either"):
-            QueryTrace(4, 0, positions=(), dense_totals=np.zeros(4))
+            Transcript(4, (1.0,))
 
 
 class TestRun:
@@ -474,7 +470,7 @@ def test_mass_readers_match_the_dense_totals(alg, oracle, run_input):
     callers pass: sorted arrays as a disagreement set or a sample R is, a
     window tuple, the empty set and every single index."""
     _, trace = run(alg, oracle, run_input)
-    assert (trace.positions is None) != isinstance(alg, ClassicalSpec)
+    assert isinstance(trace, Transcript) == isinstance(alg, ClassicalSpec)
     n = trace.num_positions
     rng = np.random.default_rng(n + run_input)
     arrays = [np.flatnonzero(rng.random(n) < p) for p in (0.2, 0.5)]
