@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .qsim import BitStringOracle, PermutationOracle
-from .util import bit_array, ceil_log2, int_array, pack_fields, parse_bitstring, read_index
+from .util import bit_array, ceil_log2, pack_fields, parse_bitstring, read_index, read_index_set
 
 
 class CorruptTableError(RuntimeError):
@@ -87,8 +87,8 @@ class ParityPad:
         O(N): p is the least window index that is not its group's first window
         index w0.  The larger string is the least one in the class with bit p
         set; the smaller flips its bits p and w0, which keeps every group
-        parity.  The window is read by ``read_window``."""
-        window = read_window(window, self.num_positions)
+        parity.  The window is read by ``util.read_index_set``."""
+        window = read_index_set(window, self.num_positions)
         groups = [self.group_of(i) for i in window]
         k = next((k for k in range(1, len(window)) if groups[k] == groups[k - 1]), None)
         if k is None:
@@ -96,15 +96,6 @@ class ParityPad:
         least = sum(1 << lo for lo in self.bounds[:-1][self.parities == 1].tolist())
         base = least ^ (1 << int(self.bounds[groups[k]]))
         return base ^ (1 << window[k - 1]), base ^ (1 << window[k])
-
-
-def read_window(window, n: int) -> list[int]:
-    """A window of coordinates of [n], sorted with repeats dropped.  Indices
-    are read by ``util.int_array``; ValueError for one outside [0, n)."""
-    window = np.unique(int_array(window)).tolist()
-    if window and not 0 <= window[0] <= window[-1] < n:
-        raise ValueError("window index out of range")
-    return window
 
 
 def group_boundaries(n: int, m: int) -> np.ndarray:

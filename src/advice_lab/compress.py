@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .qsim import FunctionOracle, PermutationOracle, State, run, top_two
-from .util import bitstring, ceil_log2, int_array, parse_bitstring, read_index_set
+from .util import (bitstring, ceil_log2, int_array, parse_bitstring, read_index, read_index_set,
+                   read_permutation)
 
 ARGMAX_TOL = 1e-9
 # An element counts as inverted when its run outputs it with at least this probability.
@@ -150,13 +151,10 @@ def _radix_products(m: int) -> list[list[int]]:
 
 
 def rank_perm(perm) -> int:
-    """Lehmer rank: identity maps to 0, the reversal to M! - 1.  TypeError
-    for a non-integer element, ValueError unless perm is a permutation of
-    0..M-1."""
-    g = int_array(perm)
+    """Lehmer rank: identity maps to 0, the reversal to M! - 1.  perm is read
+    by ``util.read_permutation``."""
+    g = read_permutation(perm)
     m = len(g)
-    if not np.array_equal(np.sort(g), np.arange(m)):
-        raise ValueError("not a permutation of 0..M-1")
     digits = _lehmer_digits(g).tolist()
     values = []
     for a, b in _leaf_bounds(m):
@@ -383,14 +381,15 @@ def length_bound_bits(enc: Encoding) -> float:
 def build_h(known: np.ndarray, R, y: int) -> FunctionOracle:
     """The hybrid oracle: ``known`` (the permutation off R, -1 on R) with
     every element of R sent to y.  It agrees with the original permutation
-    everywhere outside R and at the preimage of y.  ValueError unless known
+    everywhere outside R and at the preimage of y.  known is read by
+    ``util.int_array`` and y by ``util.read_index``; ValueError unless known
     is -1 exactly on R."""
-    table = np.array(known, dtype=np.int64)
+    table = int_array(known).copy()
     on_R = np.zeros(len(table), dtype=bool)
     on_R[_sorted_sample(R, len(table))] = True
     if not np.array_equal(table == -1, on_R):
         raise ValueError("known images must be -1 exactly on R")
-    table[on_R] = int(y)
+    table[on_R] = read_index(y, len(table))
     return FunctionOracle(table)
 
 
@@ -436,7 +435,8 @@ def decode(enc: Encoding, R, family) -> tuple[np.ndarray, dict[int, State]]:
     ``build_h(table, R, y)``, ``table`` being the mapping off R with -1 on R;
     ``finals`` maps y to that run's final state.  Each image's preimage is the
     run's output when it is an unambiguous winner and a fresh element of R;
-    the leftover mapping fills the rest.  A DecodeFailure carries ``finals``."""
+    the leftover mapping fills the rest of R, so the table is a permutation by
+    construction.  A DecodeFailure carries ``finals``."""
     n = enc.num_elements
     R = _sorted_sample(R, n)
     if len(R) != enc.r_size:
@@ -466,9 +466,6 @@ def decode(enc: Encoding, R, family) -> tuple[np.ndarray, dict[int, State]]:
         table[x] = y
 
     table[R[table[R] == -1]] = np.delete(fR, fG_at)[inner]
-
-    if not np.array_equal(np.sort(table), np.arange(n)):
-        raise DecodeFailure("reconstruction is not a permutation", finals)
     return table, finals
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .advice import ParityPad, group_boundaries, parity_preprocess, read_window
+from .advice import ParityPad, group_boundaries, parity_preprocess
 from .qsim import (
     FORBIDDEN_MASS_TOL,
     MASS_RANGE,
@@ -57,11 +57,11 @@ def collision_in_window(strings, window: Sequence[int], n: int) -> tuple[int, in
     Bucketing on the coordinates outside the window has only 2^(n - |window|)
     possible keys, so a set larger than that must collide.  Deterministic:
     strings are scanned in increasing order and the first bucket collision is
-    returned.  The window is read by ``advice.read_window``, the strings by
-    ``util.read_index_set`` over [0, 2^n) (the size bound counts distinct
-    strings).
+    returned.  Both are index sets read by ``util.read_index_set``: the window
+    over [0, n), the strings over [0, 2^n) (the size bound counts distinct
+    strings).  A repeated window index or string raises ValueError.
     """
-    window = read_window(window, n)
+    window = read_index_set(window, n)
     xs = read_index_set(strings, 1 << n)
     outside_mask = ((1 << n) - 1) ^ sum(1 << i for i in window)
     buckets: dict[int, int] = {}

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .util import NORM_TOL, bit_array, int_array, read_index
+from .util import NORM_TOL, bit_array, int_array, read_index, read_index_set, read_permutation
 
 FORBIDDEN_MASS_TOL = 1e-12
 
@@ -176,12 +176,11 @@ class FunctionOracle:
 
 
 class PermutationOracle(FunctionOracle):
-    """A FunctionOracle whose table is a bijection on [N]."""
+    """A FunctionOracle whose table is read by ``util.read_permutation``."""
 
     def __post_init__(self):
         super().__post_init__()
-        if not np.array_equal(np.sort(self.table), np.arange(len(self.table))):
-            raise ValueError("table is not a permutation")
+        read_permutation(self.table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +276,8 @@ def _position_mass(amps: np.ndarray, lay: BasisLayout) -> np.ndarray:
 class Transcript:
     """A classical run's query record: the T positions it queried, in order, each
     in [0, N).  ``mass_on`` counts the queries that read a set of distinct
-    positions; ``totals`` counts each position's reads, built only when read."""
+    positions (``util.read_index_set``); ``totals`` counts each position's
+    reads, built only when read."""
 
     num_positions: int
     positions: np.ndarray
@@ -294,8 +294,8 @@ class Transcript:
         return len(self.positions)
 
     def mass_on(self, indices) -> float:
-        members = set(indices.tolist() if isinstance(indices, np.ndarray) else indices)
-        return float(sum(p in members for p in self.positions.tolist()))
+        members = set(read_index_set(indices, self.num_positions))
+        return float(sum(map(members.__contains__, self.positions.tolist())))
 
     @property
     def total_mass(self) -> float:
@@ -310,7 +310,8 @@ class Transcript:
 class DenseTrace:
     """A dense run's query record: N nonnegative totals, entry i the mass on
     position i summed over the T queries, at most T * MASS_RANGE[1] in all.
-    ``mass_on`` sums them over a set of distinct positions."""
+    ``mass_on`` sums them over a set of distinct positions, read by
+    ``util.read_index_set``."""
 
     num_queries: int
     totals: np.ndarray
@@ -330,7 +331,7 @@ class DenseTrace:
         return len(self.totals)
 
     def mass_on(self, indices) -> float:
-        return float(self.totals[np.asarray(indices, dtype=np.int64)].sum())
+        return float(self.totals[read_index_set(indices, self.num_positions)].sum())
 
     @property
     def total_mass(self) -> float:

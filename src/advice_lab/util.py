@@ -53,9 +53,18 @@ def read_index_set(values, n: int) -> list[int]:
     items = sorted(map(operator.index, values))
     if items and not 0 <= items[0] <= items[-1] < n:
         raise ValueError(f"index set has an element outside [0, {n})")
-    if any(a == b for a, b in zip(items, items[1:])):
+    if any(map(operator.eq, items, items[1:])):
         raise ValueError("index set repeats an element")
     return items
+
+
+def read_permutation(values) -> np.ndarray:
+    """values as a permutation of 0..M-1, an int64 array read by
+    ``int_array``: ValueError unless each of 0..M-1 appears once."""
+    perm = int_array(values)
+    if not np.array_equal(np.sort(perm), np.arange(len(perm))):
+        raise ValueError("not a permutation of 0..M-1")
+    return perm
 
 
 def int_to_bits(value: int, n: int) -> np.ndarray:
@@ -80,10 +89,10 @@ def pack_fields(values, widths) -> str:
     every value or one per value, each in [0, 63].
 
     Raises ValueError when a value is negative or needs more bits than its
-    width (a value outside int64 included), TypeError for a value that is not
-    an integer."""
+    width (a value outside int64 included), TypeError for a value or width
+    that is not an integer; both are read by ``int_array``."""
     values = int_array(values)
-    widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), values.shape)
+    widths = np.broadcast_to(int_array(np.atleast_1d(widths)), values.shape)
     if np.any((widths < 0) | (widths > 63)):
         raise ValueError("field widths must lie in [0, 63]")
     if np.any((values < 0) | (values >> widths != 0)):

@@ -51,8 +51,7 @@ def test_criterion_02_total_mass_audit():
     ok = all(row["holds"] for row in rows) and all(len(v) == 100 for v in per_alg.values())
     worst = max(row["total_mass"] - row["num_queries"] for row in rows)
     _report(2, "total query magnitude <= T", ok,
-            f"{len(rows)} runs over {sorted(per_alg)} , max excess {worst:.2e}, "
-            "classical adapters exact")
+            f"{len(rows)} runs over {sorted(per_alg)} , max excess {worst:.2e}")
 
 
 def test_criterion_03_swapping_bound():

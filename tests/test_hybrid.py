@@ -211,9 +211,9 @@ class TestParityPartitions:
 
     def test_collision_rejects_bad_windows(self):
         pad = ParityAdviceScheme(2).partition(8, "01")
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
             pad.collision([0, 1, 8])
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
             pad.collision([-1, 0, 1])
         with pytest.raises(ValueError, match="no collision"):
             pad.collision([0, 4])  # one index in each group

@@ -6,9 +6,9 @@ import pytest
 
 from advice_lab.adapters import LookupInversion
 from advice_lab.advice import hellman_build, hellman_invert, measure_tradeoff
-from advice_lab.compress import CompressionParams, good_set, sample_R
-from advice_lab.hybrid import collision_in_window
-from advice_lab.qsim import BasisLayout, PermutationOracle
+from advice_lab.compress import CompressionParams, build_h, good_set, rank_perm, sample_R
+from advice_lab.hybrid import ParityAdviceScheme, collision_in_window
+from advice_lab.qsim import BasisLayout, DenseTrace, PermutationOracle, Transcript
 
 from advice_lab.util import (
     bit_array,
@@ -20,6 +20,7 @@ from advice_lab.util import (
     parse_bitstring,
     read_index,
     read_index_set,
+    read_permutation,
 )
 
 
@@ -102,6 +103,76 @@ class TestReadIndexSet:
     def test_bad_sets_raise_value_error(self, values, message):
         with pytest.raises(ValueError, match=message):
             read_index_set(values, 4)
+
+
+class TestReadPermutation:
+    @pytest.mark.parametrize("values", [[2, 0, 1], np.array([2, 0, 1], dtype=np.uint8), []])
+    def test_reads_a_permutation_as_int64(self, values):
+        out = read_permutation(values)
+        assert out.dtype == np.int64 and out.tolist() == list(values)
+
+    @pytest.mark.parametrize("values, error", [([0, 1.0], TypeError), ([1, 1], ValueError),
+                                               ([-1, 0], ValueError), ([0, 2], ValueError)])
+    def test_rejects_other_values(self, values, error):
+        with pytest.raises(error):
+            read_permutation(values)
+
+
+# Every site that takes an index set, an index, an integer table or a
+# permutation, each with one bad argument per way to be bad.  Index sets are
+# over N = 4; the site raises its reader's error, never a truncated answer.
+BAD_INDEX_SETS = {"float": ([0, 1.5], TypeError), "negative": ([0, -1], ValueError),
+                  "past-n": ([0, 4], ValueError), "repeat": ([0, 1, 1], ValueError)}
+INDEX_SET_SITES = {
+    "transcript-mass_on": lambda v: Transcript(4, [1, 2]).mass_on(v),
+    "dense-mass_on": lambda v: DenseTrace(2, [0.0, 1.0, 1.0, 0.0]).mass_on(v),
+    "parity-window": lambda v: ParityAdviceScheme(2).partition(4, "01").collision(v),
+    "collision-window": lambda v: collision_in_window(range(16), v, 4),
+}
+READER_CASES = {
+    **{f"{site}-{kind}": (lambda call=call, v=v: call(v), error)
+       for site, call in INDEX_SET_SITES.items() for kind, (v, error) in BAD_INDEX_SETS.items()},
+    "build_h-known-float": (lambda: build_h([-1, 1.7, 2, 3], [0], 1), TypeError),
+    "build_h-known-negative": (lambda: build_h([-1, -2, 2, 3], [0], 1), ValueError),
+    "build_h-known-past-n": (lambda: build_h([-1, 4, 2, 3], [0], 1), ValueError),
+    "build_h-y-float": (lambda: build_h([-1, 1, 2, 3], [0], 2.7), TypeError),
+    "build_h-y-negative": (lambda: build_h([-1, 1, 2, 3], [0], -1), ValueError),
+    "build_h-y-past-n": (lambda: build_h([-1, 1, 2, 3], [0], 4), ValueError),
+    "pack_fields-width-float": (lambda: pack_fields([3], 2.5), TypeError),
+    "pack_fields-width-negative": (lambda: pack_fields([3], -1), ValueError),
+    "pack_fields-width-past-63": (lambda: pack_fields([3], 64), ValueError),
+    "rank_perm-float": (lambda: rank_perm([0, 1.5]), TypeError),
+    "rank_perm-negative": (lambda: rank_perm([-1, 0]), ValueError),
+    "rank_perm-past-m": (lambda: rank_perm([0, 2]), ValueError),
+    "rank_perm-repeat": (lambda: rank_perm([1, 1]), ValueError),
+    "permutation-oracle-float": (lambda: PermutationOracle([0, 1.5]), TypeError),
+    "permutation-oracle-negative": (lambda: PermutationOracle([-1, 0]), ValueError),
+    "permutation-oracle-past-n": (lambda: PermutationOracle([0, 2]), ValueError),
+    "permutation-oracle-repeat": (lambda: PermutationOracle([1, 1]), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_every_site_raises_its_readers_error(case):
+    call, error = READER_CASES[case]
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("indices", [[], [2], (0, 3), np.array([3, 1]), {1, 2},
+                                     *(v for v, _ in BAD_INDEX_SETS.values())],
+                         ids=["empty", "one", "tuple", "array", "set", *BAD_INDEX_SETS])
+def test_both_query_records_read_one_index_set(indices):
+    """A transcript and the dense trace of its totals give the same mass, or
+    the same error, for every index set."""
+    transcript = Transcript(4, [1, 2, 2])
+    outcomes = []
+    for trace in (transcript, DenseTrace(3, transcript.totals)):
+        try:
+            outcomes.append(trace.mass_on(indices))
+        except (TypeError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestIntToBits:

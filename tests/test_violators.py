@@ -4,8 +4,11 @@ A check that cannot fail proves nothing.  Each test here feeds one named
 input that breaks the premise a verdict rests on, and asserts the verdict
 catches it: a spec whose queried oracle is not position-wise, a family whose
 decoder differs from its encoder (``h_ok``), an encoding with a rank past its
-component's bits (``length_identity_ok``), and an inverter that keeps its
-inverse table outside its advice (``counting_check``).  A verdict that no
+component's bits (``length_identity_ok``), an envelope parse that moves a rank
+(``envelope_ok``), anchors laid at four times their stride (``calls_bounded``),
+a collision finder whose pair differs outside the window (the ``collision``
+suite's ``holds``), and an inverter that keeps its inverse table outside its
+advice (``counting_check``).  A verdict that no
 input can make false is proved an identity instead (``length_bound_ok``), and
 the hybrid lemma is checked where it comes closest to its bound.
 """
@@ -17,9 +20,9 @@ import math
 import numpy as np
 import pytest
 
-from advice_lab import compress
+from advice_lab import advice, compress, harness
 from advice_lab.adapters import HellmanInversion, LookupInversion
-from advice_lab.harness import compress_trial
+from advice_lab.harness import cmd_hellman, collision_trials, compress_trial
 from advice_lab.hybrid import perturbation_bound, verify_swapping
 from advice_lab.qsim import (
     AlgorithmSpec,
@@ -129,6 +132,49 @@ def test_length_identity_ok_catches_a_rank_past_its_bits(monkeypatch):
     assert not record["encode_failed"]
     assert not record["length_identity_ok"]
     assert not record["roundtrip_exact"]
+
+
+def test_envelope_ok_catches_a_parse_that_moves_a_rank(monkeypatch):
+    f, R = PermutationOracle(np.random.default_rng(0).permutation(16)), [1, 6, 11]
+    family, params = HellmanInversion(2), compress.CompressionParams(0.9, 0.001)
+    assert compress_trial(f, family, R, params)["envelope_ok"]
+    parse = compress.encoding_from_json
+
+    def moved(payload, n):
+        enc = parse(payload, n)
+        return dataclasses.replace(enc, fR_rank=enc.fR_rank ^ 1)
+
+    monkeypatch.setattr(compress, "encoding_from_json", moved)
+    record = compress_trial(f, family, R, params)
+    assert not record["envelope_ok"]
+    assert record["decode_ok"] and record["roundtrip_exact"]
+
+
+def test_calls_bounded_catches_anchors_laid_too_sparsely(monkeypatch):
+    """At stride 4s a walk takes 16 calls against the 2s + 2 = 10 allowed;
+    stride 2s reaches only 8, inside the bound."""
+    assert cmd_hellman(64, [4], 2, 0).ok
+    build = advice.hellman_build
+    monkeypatch.setattr(advice, "hellman_build", lambda f, s: build(f, 4 * s))
+    table = cmd_hellman(64, [4], 2, 0)
+    assert [row["worst_calls"] for row in table.rows] == [16, 16]
+    assert not any(row["calls_bounded"] for row in table.rows)
+    assert not table.ok
+
+
+def test_collision_holds_catches_a_pair_that_differs_outside_the_window(monkeypatch):
+    assert all(row["holds"] for row in collision_trials(5, 0))
+    find = harness.collision_in_window
+
+    def apart(strings, window, n):
+        x, _ = find(strings, window, n)
+        outside = ((1 << n) - 1) ^ sum(1 << i for i in window)
+        return x, next(int(z) for z in strings if (int(z) ^ x) & outside)
+
+    monkeypatch.setattr(harness, "collision_in_window", apart)
+    rows = collision_trials(5, 0)
+    assert not any(row["holds"] for row in rows)
+    assert all(row["brute_agrees"] for row in rows)  # the scan still finds a pair
 
 
 def test_length_bound_ok_is_an_identity_of_the_bit_accounting():
