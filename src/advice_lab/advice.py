@@ -88,7 +88,7 @@ class ParityPad:
         index w0.  The larger string is the least one in the class with bit p
         set; the smaller flips its bits p and w0, which keeps every group
         parity.  The window is read by ``util.read_index_set``."""
-        window = read_index_set(window, self.num_positions)
+        window = read_index_set(window, self.num_positions).members
         groups = [self.group_of(i) for i in window]
         k = next((k for k in range(1, len(window)) if groups[k] == groups[k - 1]), None)
         if k is None:

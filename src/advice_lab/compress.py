@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .qsim import FunctionOracle, PermutationOracle, State, run, top_two
-from .util import (bitstring, ceil_log2, int_array, parse_bitstring, read_index, read_index_set,
-                   read_permutation)
+from .util import (IndexSet, bitstring, ceil_log2, int_array, parse_bitstring, read_index,
+                   read_index_set, read_permutation)
 
 ARGMAX_TOL = 1e-9
 # An element counts as inverted when its run outputs it with at least this probability.
@@ -217,8 +217,8 @@ class CompressionParams:
     The asymptotic proof wants sqrt(c) < 1/24 (so a good element's output
     distribution stays past the 1/2 certainty line) and delta < c/20 (so the
     good set is large with constant probability).  Those constants empty out R
-    at desk scale, so they are checked and reported rather than enforced;
-    instances tune delta for nonempty samples and keep c small.
+    at desk scale, so they are not enforced; only the tests read the flags
+    below.  Instances tune delta for nonempty samples and keep c small.
     """
 
     delta: float
@@ -287,24 +287,19 @@ def inversion_set(f: PermutationOracle, family) -> np.ndarray:
     return np.array([x for x, _, _ in _inverted_runs(f, alg, range(f.num_positions))], dtype=np.int64)
 
 
-def _good_elements(f: PermutationOracle, alg, R: np.ndarray,
+def _good_elements(f: PermutationOracle, alg, R: IndexSet,
                    params: CompressionParams) -> dict[int, State]:
-    """Each good element of R, in R's order, mapped to the final state of its
-    run against f."""
+    """Each good element of the read set R, in R's order, mapped to the final
+    state of its run against f."""
     threshold = params.c / alg.num_queries if alg.num_queries > 0 else math.inf
-    return {x: final for x, final, trace in _inverted_runs(f, alg, R)
-            if trace.mass_on(R) - trace.mass_on((x,)) <= threshold}
-
-
-def _sorted_sample(R, n: int) -> np.ndarray:
-    """R read by ``util.read_index_set``, as an int64 array."""
-    return np.array(read_index_set(R, n), dtype=np.int64)
+    return {x: final for x, final, trace in _inverted_runs(f, alg, R.members)
+            if trace.mass_on(R.without(x)) <= threshold}
 
 
 def good_set(f: PermutationOracle, family, R, params: CompressionParams) -> np.ndarray:
     """Elements of R that are inverted and whose runs put at most c/T total
-    query magnitude on the rest of R."""
-    R = _sorted_sample(R, f.num_positions)
+    query magnitude on the rest of R.  R is read by ``util.read_index_set``."""
+    R = read_index_set(R, f.num_positions)
     _, alg = prepare(f, family)
     return np.array(list(_good_elements(f, alg, R, params)), dtype=np.int64)
 
@@ -382,11 +377,11 @@ def build_h(known: np.ndarray, R, y: int) -> FunctionOracle:
     """The hybrid oracle: ``known`` (the permutation off R, -1 on R) with
     every element of R sent to y.  It agrees with the original permutation
     everywhere outside R and at the preimage of y.  known is read by
-    ``util.int_array`` and y by ``util.read_index``; ValueError unless known
-    is -1 exactly on R."""
+    ``util.int_array``, R by ``util.read_index_set`` and y by
+    ``util.read_index``; ValueError unless known is -1 exactly on R."""
     table = int_array(known).copy()
     on_R = np.zeros(len(table), dtype=bool)
-    on_R[_sorted_sample(R, len(table))] = True
+    on_R[list(read_index_set(R, len(table)).members)] = True
     if not np.array_equal(table == -1, on_R):
         raise ValueError("known images must be -1 exactly on R")
     table[on_R] = read_index(y, len(table))
@@ -398,12 +393,13 @@ def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Option
     counted failure of the randomness, not an error).  The good elements' runs
     against f ride along in ``Encoding.runs``."""
     n = f.num_positions
-    R = _sorted_sample(R, n)
+    R_set = read_index_set(R, n)
     advice, alg = prepare(f, family)
-    runs = _good_elements(f, alg, R, params)
+    runs = _good_elements(f, alg, R_set, params)
     if not runs:
         return None
     good = np.array(list(runs), dtype=np.int64)
+    R = np.array(R_set.members, dtype=np.int64)
 
     # R, fR and fG are sorted, so each complement deletes positions.
     fR = np.sort(f.table[R])
@@ -438,7 +434,8 @@ def decode(enc: Encoding, R, family) -> tuple[np.ndarray, dict[int, State]]:
     the leftover mapping fills the rest of R, so the table is a permutation by
     construction.  A DecodeFailure carries ``finals``."""
     n = enc.num_elements
-    R = _sorted_sample(R, n)
+    R_set = read_index_set(R, n)
+    R = np.array(R_set.members, dtype=np.int64)
     if len(R) != enc.r_size:
         raise CorruptEncodingError("sampled set size disagrees with the encoding")
     r, g = enc.r_size, enc.good_count
@@ -455,7 +452,7 @@ def decode(enc: Encoding, R, family) -> tuple[np.ndarray, dict[int, State]]:
     table = np.full(n, -1, dtype=np.int64)
     table[np.delete(np.arange(n), R)] = np.delete(np.arange(n), fR)[outer]
 
-    finals = {y: run(alg, build_h(table, R, y), y)[0] for y in map(int, fR[fG_at])}
+    finals = {y: run(alg, build_h(table, R_set, y), y)[0] for y in map(int, fR[fG_at])}
     for y, final in finals.items():
         x, p, runner_up = top_two(final, alg.output_register)
         if p - runner_up <= ARGMAX_TOL:

@@ -49,7 +49,7 @@ from .qsim import (
     default_grover_iterations,
     run,
 )
-from .util import ceil_log2, stream_rng
+from .util import ceil_log2, read_index_set, stream_rng
 
 GROVER_MAX_N = 256
 
@@ -227,10 +227,11 @@ def compress_trial(f: PermutationOracle, family, R, params) -> dict:
     distance between its run against f (from the encoder) and its run against
     the hybrid oracle (from decode, or from the DecodeFailure it raised).  A
     CorruptEncodingError leaves that audit empty.  Exact roundtrip when
-    decoding succeeds."""
+    decoding succeeds.  R is read once; encode and decode take the read set."""
     n = f.num_positions
+    R = read_index_set(R, n)
     record = {
-        "r_size": len(R),
+        "r_size": len(R.members),
         "good_count": 0,
         "encode_failed": True,
         "decode_ok": False,

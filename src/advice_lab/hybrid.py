@@ -61,8 +61,8 @@ def collision_in_window(strings, window: Sequence[int], n: int) -> tuple[int, in
     over [0, n), the strings over [0, 2^n) (the size bound counts distinct
     strings).  A repeated window index or string raises ValueError.
     """
-    window = read_index_set(window, n)
-    xs = read_index_set(strings, 1 << n)
+    window = read_index_set(window, n).members
+    xs = read_index_set(strings, 1 << n).members
     outside_mask = ((1 << n) - 1) ^ sum(1 << i for i in window)
     buckets: dict[int, int] = {}
     for x in xs:
@@ -191,7 +191,7 @@ def box_experiment(n: int, m: int,
         rng = stream_rng(seed, t)
         j = int(rng.integers(n))
         pad = parity_preprocess(rng.integers(0, 2, size=n), m)
-        window = tuple(sorted(int(i) for i in rng.choice(n, size=m + 1, replace=False)))
+        window = read_index_set(rng.choice(n, size=m + 1, replace=False), n)
         x, y = pad.collision(window)
         alg = algorithm_factory(pad, j)
         swap = verify_swapping(alg, BitStringOracle(int_to_bits(x, n), forbidden=j),
@@ -199,7 +199,7 @@ def box_experiment(n: int, m: int,
         eq_bound = perturbation_bound(alg.num_queries, alg.num_queries * (m + 1) / (n - 1))
         records.append(BoxTrialRecord(
             trial=t, j=j, alpha=bitstring(pad.parities), log2_class_size=pad.log2_class_size,
-            window=window, x=x, y=y, swap=swap, eq_bound=eq_bound,
+            window=window.members, x=x, y=y, swap=swap, eq_bound=eq_bound,
             window_mass=swap.trace.mass_on(window),
             expectation=expectation_check(swap.trace, j),
         ))

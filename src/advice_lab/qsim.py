@@ -276,8 +276,8 @@ def _position_mass(amps: np.ndarray, lay: BasisLayout) -> np.ndarray:
 class Transcript:
     """A classical run's query record: the T positions it queried, in order, each
     in [0, N).  ``mass_on`` counts the queries that read a set of distinct
-    positions (``util.read_index_set``); ``totals`` counts each position's
-    reads, built only when read."""
+    positions (``util.read_index_set``) through its ``lookup``; ``totals``
+    counts each position's reads, built only when read."""
 
     num_positions: int
     positions: np.ndarray
@@ -294,8 +294,8 @@ class Transcript:
         return len(self.positions)
 
     def mass_on(self, indices) -> float:
-        members = set(read_index_set(indices, self.num_positions))
-        return float(sum(map(members.__contains__, self.positions.tolist())))
+        lookup = read_index_set(indices, self.num_positions).lookup
+        return float(sum(map(lookup.__contains__, self.positions.tolist())))
 
     @property
     def total_mass(self) -> float:
@@ -331,7 +331,8 @@ class DenseTrace:
         return len(self.totals)
 
     def mass_on(self, indices) -> float:
-        return float(self.totals[read_index_set(indices, self.num_positions)].sum())
+        members = read_index_set(indices, self.num_positions).members
+        return float(self.totals[list(members)].sum())
 
     @property
     def total_mass(self) -> float:

@@ -4,6 +4,8 @@ ceilings, seed derivation."""
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +45,31 @@ def read_index(value, n: int) -> int:
     return value
 
 
-def read_index_set(values, n: int) -> list[int]:
-    """values as a set of indices of [0, n): a sorted list of Python ints,
-    exact past int64.  TypeError for an element that is not an integer (numpy
-    bools included, as in ``int_array``), ValueError for a repeat or an
-    element outside the range."""
+@dataclass(frozen=True)
+class IndexSet:
+    """A set of indices of [0, n) read by ``read_index_set``: ``members``
+    sorted Python ints (exact past int64), ``lookup`` the same as a frozenset
+    built on first use.  One built by hand is taken as read, unchecked."""
+
+    n: int
+    members: tuple[int, ...]
+
+    @cached_property
+    def lookup(self) -> frozenset[int]:
+        return frozenset(self.members)
+
+    def without(self, x: int) -> IndexSet:
+        """The set less x, read already."""
+        return IndexSet(self.n, tuple([v for v in self.members if v != x]))
+
+
+def read_index_set(values, n: int) -> IndexSet:
+    """values as an ``IndexSet`` of [0, n); an ``IndexSet`` of the same n
+    comes back unchanged.  TypeError for an element that is not an integer
+    (numpy bools included, as in ``int_array``), ValueError for a repeat or
+    an element outside the range."""
+    if isinstance(values, IndexSet):
+        return values if values.n == n else read_index_set(values.members, n)
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         values = values.tolist()
     items = sorted(map(operator.index, values))
@@ -55,7 +77,7 @@ def read_index_set(values, n: int) -> list[int]:
         raise ValueError(f"index set has an element outside [0, {n})")
     if any(map(operator.eq, items, items[1:])):
         raise ValueError("index set repeats an element")
-    return items
+    return IndexSet(n, tuple(items))
 
 
 def read_permutation(values) -> np.ndarray:
@@ -89,10 +111,13 @@ def pack_fields(values, widths) -> str:
     every value or one per value, each in [0, 63].
 
     Raises ValueError when a value is negative or needs more bits than its
-    width (a value outside int64 included), TypeError for a value or width
-    that is not an integer; both are read by ``int_array``."""
-    values = int_array(values)
-    widths = np.broadcast_to(int_array(np.atleast_1d(widths)), values.shape)
+    width (a value outside int64 included) or when the counts of widths and
+    values differ, TypeError for a value or width that is not an integer;
+    both are read by ``int_array``."""
+    values, widths = int_array(values), int_array(np.atleast_1d(widths))
+    if len(widths) not in (1, len(values)):
+        raise ValueError(f"{len(widths)} field widths for {len(values)} values")
+    widths = np.broadcast_to(widths, values.shape)
     if np.any((widths < 0) | (widths > 63)):
         raise ValueError("field widths must lie in [0, 63]")
     if np.any((values < 0) | (values >> widths != 0)):

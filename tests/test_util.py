@@ -80,15 +80,25 @@ class TestReadIndexSet:
                                         np.array([3, 0, 2], dtype=np.uint8), {0, 2, 3}],
                              ids=["list", "tuple", "int64", "uint8", "set"])
     def test_reads_a_sorted_list_of_ints(self, values):
-        out = read_index_set(values, 4)
-        assert out == [0, 2, 3] and all(type(v) is int for v in out)
+        out = read_index_set(values, 4).members
+        assert out == (0, 2, 3) and all(type(v) is int for v in out)
 
     def test_empty_set(self):
-        assert read_index_set([], 4) == read_index_set(np.zeros(0, dtype=np.int64), 4) == []
+        assert (read_index_set([], 4).members
+                == read_index_set(np.zeros(0, dtype=np.int64), 4).members == ())
 
     def test_wider_than_int64(self):
         wide = [(1 << 100) + 1, 1 << 100, 3]
-        assert read_index_set(wide, 1 << 101) == sorted(wide)
+        assert read_index_set(wide, 1 << 101).members == tuple(sorted(wide))
+
+    def test_a_read_set_passes_through(self):
+        read = read_index_set([3, 0, 2], 4)
+        assert read_index_set(read, 4) is read
+        assert read.lookup == {0, 2, 3}
+        assert read.without(2) == read_index_set([0, 3], 4) and read.without(2).lookup == {0, 3}
+
+    def test_a_set_read_over_another_n_is_read_again(self):
+        assert read_index_set(read_index_set([3, 0], 8), 4) == read_index_set([0, 3], 4)
 
     @pytest.mark.parametrize("values", [[1.0, 2.0], np.array([0.5]), ["1"], [0, None],
                                         np.array([True, False]), np.zeros((2, 2), dtype=int)],
@@ -122,7 +132,8 @@ class TestReadPermutation:
 # permutation, each with one bad argument per way to be bad.  Index sets are
 # over N = 4; the site raises its reader's error, never a truncated answer.
 BAD_INDEX_SETS = {"float": ([0, 1.5], TypeError), "negative": ([0, -1], ValueError),
-                  "past-n": ([0, 4], ValueError), "repeat": ([0, 1, 1], ValueError)}
+                  "past-n": ([0, 4], ValueError), "repeat": ([0, 1, 1], ValueError),
+                  "read-over-larger-n": (read_index_set([0, 4], 8), ValueError)}
 INDEX_SET_SITES = {
     "transcript-mass_on": lambda v: Transcript(4, [1, 2]).mass_on(v),
     "dense-mass_on": lambda v: DenseTrace(2, [0.0, 1.0, 1.0, 0.0]).mass_on(v),
@@ -141,6 +152,7 @@ READER_CASES = {
     "pack_fields-width-float": (lambda: pack_fields([3], 2.5), TypeError),
     "pack_fields-width-negative": (lambda: pack_fields([3], -1), ValueError),
     "pack_fields-width-past-63": (lambda: pack_fields([3], 64), ValueError),
+    "pack_fields-width-count": (lambda: pack_fields([1, 1], [1, 2, 3]), ValueError),
     "rank_perm-float": (lambda: rank_perm([0, 1.5]), TypeError),
     "rank_perm-negative": (lambda: rank_perm([-1, 0]), ValueError),
     "rank_perm-past-m": (lambda: rank_perm([0, 2]), ValueError),
@@ -160,8 +172,10 @@ def test_every_site_raises_its_readers_error(case):
 
 
 @pytest.mark.parametrize("indices", [[], [2], (0, 3), np.array([3, 1]), {1, 2},
+                                     read_index_set([2, 1], 4),
                                      *(v for v, _ in BAD_INDEX_SETS.values())],
-                         ids=["empty", "one", "tuple", "array", "set", *BAD_INDEX_SETS])
+                         ids=["empty", "one", "tuple", "array", "set", "index-set",
+                              *BAD_INDEX_SETS])
 def test_both_query_records_read_one_index_set(indices):
     """A transcript and the dense trace of its totals give the same mass, or
     the same error, for every index set."""
@@ -173,6 +187,12 @@ def test_both_query_records_read_one_index_set(indices):
         except (TypeError, ValueError) as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_a_read_set_weighs_what_its_raw_list_weighs():
+    transcript = Transcript(4, [1, 2, 2])
+    for trace in (transcript, DenseTrace(3, transcript.totals)):
+        assert trace.mass_on(read_index_set([2, 1], 4)) == trace.mass_on([2, 1]) == 3.0
 
 
 class TestIntToBits:
@@ -229,6 +249,10 @@ class TestPackFields:
     def test_rejects_values_that_do_not_fit(self, values, widths):
         with pytest.raises(ValueError):
             pack_fields(values, widths)
+
+    def test_width_count_must_match_the_values(self):
+        with pytest.raises(ValueError, match="3 field widths for 2 values"):
+            pack_fields([1, 1], [1, 2, 3])
 
 
 class TestCeilLog2:
