@@ -29,7 +29,7 @@ from .qsim import (
     default_grover_iterations,
     grover_spec,
 )
-from .util import ceil_log2, pack_fields, parse_bitstring, read_index
+from .util import read_index
 
 
 class InversionFamily(Protocol):
@@ -138,39 +138,21 @@ class GroverInversion:
 
 @dataclass(frozen=True)
 class LookupInversion:
-    """Advice is the full inverse table (N times n bits); the algorithm reads
-    the answer off the advice and spends its single query confirming it."""
+    """Inverse-table inversion (``advice.lookup_walk``) embedded as a query
+    algorithm; its single query confirms the preimage the advice names."""
 
     name = "lookup[verify]"
 
     def preprocess(self, f: PermutationOracle) -> str:
-        n_elements = f.num_positions
-        n = ceil_log2(n_elements)
-        inverse = np.empty(n_elements, dtype=np.int64)
-        inverse[f.table] = np.arange(n_elements)
-        return pack_fields(inverse, n)
+        return advice_mod.lookup_bits(f)
 
     def spec(self, advice: str, n_elements: int) -> AlgorithmSpec:
-        n = ceil_log2(n_elements)
-        if len(advice) != n_elements * n:
-            raise ValueError("advice length does not match the domain")
-        bits = parse_bitstring(advice).reshape(n_elements, n)
-        inverse = (bits @ (1 << np.arange(n, dtype=np.int64))).tolist()
-
-        def transition_factory(run_input):
-            x0 = inverse[read_index(run_input, n_elements)]
-
-            def transition(t, pos, ans, work):
-                if t == 0:
-                    return x0, 0, 0
-                return pos, ans, work
-            return transition
-
+        inverse = advice_mod.parse_lookup_bits(advice, n_elements)
         return ClassicalSpec(
             name=self.name,
             layout=BasisLayout(n_elements, n_elements, 1),
             num_queries=1,
-            steps=transition_factory,
+            steps=lambda y: advice_mod.lookup_walk(inverse, read_index(y, n_elements)),
             output_register="position",
         )
 

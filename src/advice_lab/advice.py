@@ -1,12 +1,12 @@
 """Classical precomputed-advice constructions with measured size/query accounting.
 
-Two structures live here: per-group parity pads, which answer single-bit
-queries about a string while skipping one index and are the advice classes
-of the box problem, and anchor tables built from iterates of a permutation,
-which invert it with a bounded number of forward evaluations.  Both carry
-exact bit-size accounting; anchor tables also round-trip through JSON.
-Each structure's reads, walk and advice bits are defined here once; the
-statevector adapters embed these same definitions.
+Three structures live here: per-group parity pads, the advice classes of the
+box problem, answer single-bit queries about a string while skipping one
+index; anchor tables built from iterates of a permutation invert it with a
+bounded number of forward evaluations, and full inverse tables with one.
+Each carries exact bit-size accounting; anchor tables also round-trip
+through JSON.  Each structure's reads, walk and advice bits are defined here
+once; the statevector adapters embed these same definitions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .qsim import BitStringOracle, PermutationOracle
-from .util import bit_array, ceil_log2, pack_fields, parse_bitstring, read_index, read_index_set
+from .util import bit_array, ceil_log2, pack_fields, read_fields, read_index, read_index_set
 
 
 class CorruptTableError(RuntimeError):
@@ -150,7 +150,7 @@ def parity_answer_sweep(strings: np.ndarray, m: int) -> tuple[np.ndarray, np.nda
 
 
 # ---------------------------------------------------------------------------
-# Iterate tables
+# Inversion tables: anchor pairs over iterates, and the full inverse
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ class HellmanTable:
     @property
     def header_bits(self) -> int:
         """The pair count field in front of the pairs."""
-        return ceil_log2(self.num_positions + 1)
+        return _count_width(self.num_positions)
 
     def rights(self) -> dict[int, tuple[int, int]]:
         """Map each pair's right element to (left element, stride)."""
@@ -201,7 +201,7 @@ class HellmanTable:
         bits, then each pair's left and right in n bits each (integers least
         significant bit first).  Exactly bit_size + header_bits long."""
         values = [v for left, right, _stride in self.pairs for v in (left, right)]
-        return pack_fields([self.entry_count, *values], [self.header_bits] + [self.n] * len(values))
+        return pack_fields([self.entry_count], self.header_bits) + pack_fields(values, self.n)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "s": self.s, "pairs": [list(p) for p in self.pairs]},
@@ -269,19 +269,19 @@ def parse_hellman_bits(advice: str, num_positions: int) -> dict[int, int]:
     """Read HellmanTable.to_bits into the anchors map {right: left}.  Raises
     ValueError unless the advice is a pair count of at least 1 followed by
     exactly that many pairs, or when two pairs share a right element."""
-    n = ceil_log2(num_positions)
-    width = ceil_log2(num_positions + 1)
-    bits = parse_bitstring(advice)
-    weights = 1 << np.arange(width, dtype=np.int64)
-    head = bits[:width]
-    count = int(head @ weights[:len(head)])
-    if count < 1 or len(bits) != width + 2 * n * count:
+    n, width = ceil_log2(num_positions), _count_width(num_positions)
+    count = read_fields(advice[:width], width)[0] if len(advice) >= width else 0
+    if count < 1 or len(advice) != width + 2 * n * count:
         raise ValueError("anchor advice is not a positive pair count followed by that many pairs")
-    values = (bits[width:].reshape(2 * count, n) @ weights[:n]).tolist()
+    values = read_fields(advice[width:], n)
     anchors = dict(zip(values[1::2], values[0::2]))
     if len(anchors) != count:
         raise ValueError("two anchor pairs share a right element")
     return anchors
+
+
+def _count_width(num_positions: int) -> int:
+    return ceil_log2(num_positions + 1)  # a table over N elements holds 1 to N pairs
 
 
 def hellman_walk(anchors: dict[int, int], y: int):
@@ -345,6 +345,28 @@ def measure_tradeoff(f, s: int) -> dict:
         "worst_calls": worst,
         "bits_times_calls": table.bit_size * worst,
     }
+
+
+def lookup_bits(f) -> str:
+    """The full inverse table of f (read by ``_as_oracle``) as advice: the
+    preimage of each y in turn, in n = ceil_log2(N) bits, N n bits in all."""
+    table = _as_oracle(f).table
+    return pack_fields(np.argsort(table), ceil_log2(len(table)))
+
+
+def parse_lookup_bits(advice: str, num_positions: int) -> list[int]:
+    """The inverse table lookup_bits wrote: ValueError unless N fields of n bits."""
+    n = ceil_log2(num_positions)
+    if len(advice) != num_positions * n:
+        raise ValueError("advice length does not match the domain")
+    return read_fields(advice, n)
+
+
+def lookup_walk(inverse: list[int], y: int):
+    """The inverse-table inversion for image y, one transition per query: the
+    first query reads the preimage the table names, later ones keep the state."""
+    x = inverse[y]
+    return lambda t, pos, ans, work: (x, 0, 0) if t == 0 else (pos, ans, work)
 
 
 # ---------------------------------------------------------------------------

@@ -519,7 +519,7 @@ def _unblob(text) -> int:
 
 
 def encoding_to_json(enc: Encoding) -> str:
-    packed = np.packbits(parse_bitstring(enc.advice)) if enc.advice else np.zeros(0, dtype=np.uint8)
+    packed = np.packbits(parse_bitstring(enc.advice))
     return json.dumps({
         "S": enc.advice_bits,
         "good_count": enc.good_count,

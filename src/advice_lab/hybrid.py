@@ -152,8 +152,10 @@ def expectation_check(trace: QueryTrace, j: int) -> ExpectationReport:
     is at least T * MASS_RANGE[0] (the trace itself refuses more than
     T * MASS_RANGE[1]) and j carries at most T * FORBIDDEN_MASS_TOL.
     TypeError for a j that is not an integer, ValueError for one outside
-    [0, N)."""
+    [0, N) or for N < 2."""
     n, num_queries = trace.num_positions, trace.num_queries
+    if n < 2:
+        raise ValueError(f"no mean off j over N < 2 positions (N = {n})")
     j = read_index(j, n)
     total, on_j = trace.total_mass, trace.mass_on((j,))
     holds = num_queries * MASS_RANGE[0] <= total and on_j <= num_queries * FORBIDDEN_MASS_TOL

@@ -47,37 +47,40 @@ def read_index(value, n: int) -> int:
 
 @dataclass(frozen=True)
 class IndexSet:
-    """A set of indices of [0, n) read by ``read_index_set``: ``members``
-    sorted Python ints (exact past int64), ``lookup`` the same as a frozenset
-    built on first use.  One built by hand is taken as read, unchecked."""
+    """Indices of [0, n): ``members`` increasing Python ints (exact past int64),
+    ``lookup`` the same as a frozenset built on first use.  TypeError for a
+    member that is not a Python int, ValueError for one out of order or outside [0, n)."""
 
     n: int
     members: tuple[int, ...]
+
+    def __post_init__(self):
+        members = self.members
+        if not all(type(v) is int for v in members):
+            raise TypeError("index set members must be Python ints")
+        if any(map(operator.ge, members, members[1:])):
+            raise ValueError("index set repeats an element or is out of order")
+        if members and not (0 <= members[0] and members[-1] < self.n):
+            raise ValueError(f"index set has an element outside [0, {self.n})")
 
     @cached_property
     def lookup(self) -> frozenset[int]:
         return frozenset(self.members)
 
     def without(self, x: int) -> IndexSet:
-        """The set less x, read already."""
+        """The set less x."""
         return IndexSet(self.n, tuple([v for v in self.members if v != x]))
 
 
 def read_index_set(values, n: int) -> IndexSet:
-    """values as an ``IndexSet`` of [0, n); an ``IndexSet`` of the same n
-    comes back unchanged.  TypeError for an element that is not an integer
-    (numpy bools included, as in ``int_array``), ValueError for a repeat or
-    an element outside the range."""
+    """values, sorted, as an ``IndexSet`` of [0, n), which checks them; an
+    ``IndexSet`` of the same n comes back unchanged.  TypeError for an element
+    that is not an integer, numpy bools included as in ``int_array``."""
     if isinstance(values, IndexSet):
         return values if values.n == n else read_index_set(values.members, n)
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         values = values.tolist()
-    items = sorted(map(operator.index, values))
-    if items and not 0 <= items[0] <= items[-1] < n:
-        raise ValueError(f"index set has an element outside [0, {n})")
-    if any(map(operator.eq, items, items[1:])):
-        raise ValueError("index set repeats an element")
-    return IndexSet(n, tuple(items))
+    return IndexSet(n, tuple(sorted(map(operator.index, values))))
 
 
 def read_permutation(values) -> np.ndarray:
@@ -105,26 +108,32 @@ def bitstring(bits) -> str:
     return (ones.view(np.uint8) + ord("0")).tobytes().decode()
 
 
-def pack_fields(values, widths) -> str:
-    """Each value in its own width of bits, least significant bit first, the
-    fields concatenated into one '0'/'1' string.  ``widths`` is one width for
-    every value or one per value, each in [0, 63].
-
-    Raises ValueError when a value is negative or needs more bits than its
-    width (a value outside int64 included) or when the counts of widths and
-    values differ, TypeError for a value or width that is not an integer;
-    both are read by ``int_array``."""
-    values, widths = int_array(values), int_array(np.atleast_1d(widths))
-    if len(widths) not in (1, len(values)):
-        raise ValueError(f"{len(widths)} field widths for {len(values)} values")
-    widths = np.broadcast_to(widths, values.shape)
-    if np.any((widths < 0) | (widths > 63)):
-        raise ValueError("field widths must lie in [0, 63]")
-    if np.any((values < 0) | (values >> widths != 0)):
+def pack_fields(values, width: int) -> str:
+    """Each value in ``width`` bits, least significant bit first, the fields
+    concatenated into one '0'/'1' string that ``read_fields`` reads back.
+    ValueError when the width lies outside [0, 63] or a value is negative or
+    needs more bits (one outside int64 included), TypeError for a width or
+    value that is not an integer; values are read by ``int_array``."""
+    width = operator.index(width)
+    if not 0 <= width <= 63:
+        raise ValueError("field width must lie in [0, 63]")
+    values = int_array(values)
+    if np.any((values < 0) | (values >> width != 0)):
         raise ValueError("a value does not fit in its field width")
-    shifts = np.arange(int(widths.max(initial=0)))
-    bits = (values[:, None] >> shifts) & 1
-    return bitstring(bits[shifts < widths[:, None]])
+    return bitstring((values[:, None] >> np.arange(width)) & 1)
+
+
+def read_fields(bits: str, width: int) -> list[int]:
+    """The values ``pack_fields(values, width)`` wrote, as Python ints; the
+    characters are read by ``parse_bitstring``.  ValueError unless the width
+    lies in [1, 63] and the string is a whole number of fields."""
+    width = operator.index(width)
+    if not 1 <= width <= 63:
+        raise ValueError("field width must lie in [1, 63]")
+    if len(bits) % width:
+        raise ValueError(f"{len(bits)} bits are not a whole number of {width}-bit fields")
+    fields = parse_bitstring(bits).reshape(-1, width)
+    return (fields @ (1 << np.arange(width, dtype=np.int64))).tolist()
 
 
 def parse_bitstring(s: str) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from advice_lab import adapters
 from advice_lab.adapters import (
     GroverInversion,
     HellmanInversion,
@@ -305,3 +306,9 @@ class TestScrambler:
     def test_negative_query_count(self, num_queries):
         with pytest.raises(ValueError, match="negative query count"):
             haar_scrambler(BasisLayout(8, 2, 2), num_queries, seed=0)
+
+
+def test_adapters_bind_no_bit_codec():
+    """Advice bits are written and read in ``advice``; the adapters only embed
+    its structures."""
+    assert not {"pack_fields", "read_fields", "parse_bitstring"} & set(vars(adapters))

@@ -576,21 +576,25 @@ class TestEncodeDecode:
         with pytest.raises(CorruptEncodingError):
             decode(bad, [1, 2], family)
 
-    def test_unparseable_advice_raises_corrupt_encoding_before_any_run(self, monkeypatch):
+    @pytest.mark.parametrize("family, corrupt, message", [
+        (HellmanInversion(2), lambda advice: flip_bit(advice, 0), "positive pair count"),
+        (LookupInversion(), lambda advice: advice[:-1], "does not match the domain"),
+    ], ids=["hellman", "lookup"])
+    def test_unparseable_advice_raises_corrupt_encoding_before_any_run(self, monkeypatch, family,
+                                                                       corrupt, message):
         f = PermutationOracle(np.random.default_rng(3).permutation(64))
-        family = HellmanInversion(2)
         R = sample_R(64, 0.9, 6, 0)
         assert R.tolist() == [3, 11]
         enc = encode(f, family, R, CompressionParams(0.9, 0.001))
-        bad = dataclasses.replace(enc, advice=flip_bit(enc.advice, 0))
-        with pytest.raises(ValueError, match="positive pair count"):
+        bad = dataclasses.replace(enc, advice=corrupt(enc.advice))
+        with pytest.raises(ValueError, match=message):
             family.spec(bad.advice, 64)
 
         def no_run(*_args):
             raise AssertionError("decode ran the algorithm before parsing the advice")
 
         monkeypatch.setattr(compress_mod, "run", no_run)
-        with pytest.raises(CorruptEncodingError, match="positive pair count"):
+        with pytest.raises(CorruptEncodingError, match=message):
             decode(bad, R, family)
 
     def test_cut_advice_raises_corrupt_encoding_before_any_run(self, monkeypatch):

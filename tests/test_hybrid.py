@@ -367,6 +367,12 @@ class TestExpectationCheck:
         with pytest.raises(error):
             expectation_check(DenseTrace(120, np.arange(16.0)), j)
 
+    @pytest.mark.parametrize("trace", [Transcript(1, []), DenseTrace(0, [0.0])],
+                             ids=["transcript", "dense"])
+    def test_rejects_a_one_position_trace(self, trace):
+        with pytest.raises(ValueError, match="N < 2"):
+            expectation_check(trace, 0)
+
 
 class TestBoxExperiment:
     def test_parity_adapter_all_hold(self):

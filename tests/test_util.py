@@ -3,6 +3,8 @@ each input is read by one checker."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advice_lab.adapters import LookupInversion
 from advice_lab.advice import hellman_build, hellman_invert, measure_tradeoff
@@ -11,6 +13,7 @@ from advice_lab.hybrid import ParityAdviceScheme, collision_in_window
 from advice_lab.qsim import BasisLayout, DenseTrace, PermutationOracle, Transcript
 
 from advice_lab.util import (
+    IndexSet,
     bit_array,
     bitstring,
     ceil_log2,
@@ -18,6 +21,7 @@ from advice_lab.util import (
     int_to_bits,
     pack_fields,
     parse_bitstring,
+    read_fields,
     read_index,
     read_index_set,
     read_permutation,
@@ -100,6 +104,16 @@ class TestReadIndexSet:
     def test_a_set_read_over_another_n_is_read_again(self):
         assert read_index_set(read_index_set([3, 0], 8), 4) == read_index_set([0, 3], 4)
 
+    @pytest.mark.parametrize("members, error", [((9, 9), ValueError), ((2, 1), ValueError),
+                                                ((1, 1), ValueError), ((-1, 2), ValueError),
+                                                ((0, 4), ValueError), ((1.5,), TypeError),
+                                                ((np.True_,), TypeError)],
+                             ids=["repeat-past-n", "unsorted", "repeat", "negative", "past-n",
+                                  "float", "numpy-bool"])
+    def test_a_set_built_by_hand_checks_itself(self, members, error):
+        with pytest.raises(error):
+            IndexSet(4, members)
+
     @pytest.mark.parametrize("values", [[1.0, 2.0], np.array([0.5]), ["1"], [0, None],
                                         np.array([True, False]), np.zeros((2, 2), dtype=int)],
                              ids=["floats", "float-array", "string", "none", "bool-array", "2-d"])
@@ -152,7 +166,10 @@ READER_CASES = {
     "pack_fields-width-float": (lambda: pack_fields([3], 2.5), TypeError),
     "pack_fields-width-negative": (lambda: pack_fields([3], -1), ValueError),
     "pack_fields-width-past-63": (lambda: pack_fields([3], 64), ValueError),
-    "pack_fields-width-count": (lambda: pack_fields([1, 1], [1, 2, 3]), ValueError),
+    "read_fields-partial-field": (lambda: read_fields("0110", 3), ValueError),
+    "read_fields-bad-character": (lambda: read_fields("012", 3), ValueError),
+    "read_fields-width-0": (lambda: read_fields("", 0), ValueError),
+    "read_fields-width-64": (lambda: read_fields("0" * 64, 64), ValueError),
     "rank_perm-float": (lambda: rank_perm([0, 1.5]), TypeError),
     "rank_perm-negative": (lambda: rank_perm([-1, 0]), ValueError),
     "rank_perm-past-m": (lambda: rank_perm([0, 2]), ValueError),
@@ -236,23 +253,29 @@ class TestPackFields:
         widths = rng.integers(0, 20, size=200)
         values = [int(rng.integers(1 << w)) for w in widths]
         reference = "".join(bitstring(int_to_bits(v, int(w))) for v, w in zip(values, widths))
-        assert pack_fields(values, widths) == reference
+        assert "".join(pack_fields([v], w) for v, w in zip(values, widths)) == reference
         assert pack_fields(values[:3], 20) == "".join(bitstring(int_to_bits(v, 20)) for v in values[:3])
 
     def test_empty_and_zero_width(self):
         assert pack_fields([], 5) == ""
         assert pack_fields([0, 0], 0) == ""
-        assert pack_fields([5, 0], [3, 0]) == "101"
+        assert pack_fields([5], 3) == "101"
 
-    @pytest.mark.parametrize("values, widths", [([4], 2), ([1], 0), ([-1], 8), ([3, 8], [2, 3]),
-                                                ([0], 64), ([0], -1), ([1 << 70], 63)])
-    def test_rejects_values_that_do_not_fit(self, values, widths):
+    @pytest.mark.parametrize("values, width", [([4], 2), ([1], 0), ([-1], 8), ([8], 3),
+                                               ([0], 64), ([0], -1), ([1 << 70], 63)])
+    def test_rejects_values_that_do_not_fit(self, values, width):
         with pytest.raises(ValueError):
-            pack_fields(values, widths)
+            pack_fields(values, width)
 
-    def test_width_count_must_match_the_values(self):
-        with pytest.raises(ValueError, match="3 field widths for 2 values"):
-            pack_fields([1, 1], [1, 2, 3])
+
+class TestReadFields:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 63).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=8))))
+    def test_inverts_pack_fields(self, width_values):
+        width, values = width_values
+        out = read_fields(pack_fields(values, width), width)
+        assert out == values and all(type(v) is int for v in out)
 
 
 class TestCeilLog2:
