@@ -49,7 +49,9 @@ class AmbiguousDecodeError(DecodeFailure):
 
 
 class CorruptEncodingError(ValueError):
-    """A stored rank or count is outside its declared range."""
+    """The encoding is not one ``encode`` writes: a stored rank or count is
+    outside its declared range, or the advice fails to parse or to match the
+    decoded table."""
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +428,16 @@ def encode(f: PermutationOracle, family, R, params: CompressionParams) -> Option
 def decode(enc: Encoding, R, family) -> tuple[np.ndarray, dict[int, State]]:
     """Reconstruct the permutation and return it with the runs that did it.
 
-    Ranks and advice are read first, so a CorruptEncodingError comes before
-    any run.  Then each stored image y is run once against the hybrid oracle
-    ``build_h(table, R, y)``, ``table`` being the mapping off R with -1 on R;
-    ``finals`` maps y to that run's final state.  Each image's preimage is the
-    run's output when it is an unambiguous winner and a fresh element of R;
-    the leftover mapping fills the rest of R, so the table is a permutation by
-    construction.  A DecodeFailure carries ``finals``."""
+    Ranks and advice are read first, so a CorruptEncodingError for either
+    comes before any run.  Then each stored image y is run once against the
+    hybrid oracle ``build_h(table, R, y)``, ``table`` being the mapping off R
+    with -1 on R; ``finals`` maps y to that run's final state.  Each image's
+    preimage is the run's output when it is an unambiguous winner and a fresh
+    element of R; the leftover mapping fills the rest of R, so the table is a
+    permutation by construction.  A DecodeFailure carries ``finals``.  Last,
+    the family's deterministic ``preprocess`` must re-derive the stored advice
+    from the table, else CorruptEncodingError: altered advice that still
+    parses never decodes to a wrong permutation."""
     n = enc.num_elements
     R_set = read_index_set(R, n)
     R = np.array(R_set.members, dtype=np.int64)
@@ -463,6 +468,8 @@ def decode(enc: Encoding, R, family) -> tuple[np.ndarray, dict[int, State]]:
         table[x] = y
 
     table[R[table[R] == -1]] = np.delete(fR, fG_at)[inner]
+    if family.preprocess(PermutationOracle(table)) != enc.advice:
+        raise CorruptEncodingError("the decoded table does not re-derive the stored advice")
     return table, finals
 
 

@@ -1,10 +1,10 @@
 """Seeded experiment harness: runs the lab's experiments as row-oriented
 tables with reproducible per-trial randomness.
 
-Each trial draws from its own stream ``stream_rng(seed, *key)``, so any single
-trial can be rerun on its own: key (t) in grover, box and the verify suites,
-(s, t) in hellman, and in compress (0) for the permutation and (1, t) for each
-trial's sample.  Every row carries the master seed and a hash of the
+Every command runs its trials through ``util.seeded_trials``, so trial t
+draws from its own stream ``stream_rng(seed, *prefix, t)``: key (t) in grover,
+box and the verify suites, (s, t) in hellman, (1, t) in compress and (0) for
+compress's one permutation.  Every row carries the master seed and a hash of the
 configuration, so any row can be replayed.  A table's ``ok`` flag is the
 conjunction of its per-row invariant checks; the CLI maps it to the exit
 status.
@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .qsim import (
     default_grover_iterations,
     run,
 )
-from .util import ceil_log2, read_index_set, stream_rng
+from .util import ceil_log2, fan_out, read_index_set, seeded_trials, stream_rng
 
 GROVER_MAX_N = 256
 
@@ -76,18 +77,8 @@ def config_hash(config: dict) -> str:
 
 
 def pool_size() -> int:
-    """Trials run one at a time; kept as a name for the benchmark's reports."""
+    """Trials run one at a time; this name and ``fan_out`` stay here for the benchmark."""
     return 1
-
-
-def fan_out(worker, count: int) -> list:
-    """Run worker(0..count-1) in trial order: the one trial loop of every command."""
-    return [worker(i) for i in range(count)]
-
-
-def _trials(seed: int, count: int, trial) -> list:
-    """trial(t, rng) for t = 0..count-1, each with the stream (seed, t)."""
-    return fan_out(lambda t: trial(t, stream_rng(seed, t)), count)
 
 
 def _table(config: dict, columns: list, rows: list, ok: bool) -> ResultTable:
@@ -134,7 +125,7 @@ def cmd_grover(n: int, trials: int, seed: int) -> ResultTable:
             "candidate_correct": candidate == expected,
         }
 
-    rows = _trials(seed, trials, trial)
+    rows = seeded_trials(seed, trials, trial)
     return _table(config, [
         "trial", "n", "iterations", "queries", "success_probability", "closed_form",
         "abs_error", "candidate", "preimage", "candidate_correct"],
@@ -166,14 +157,16 @@ def cmd_box(n: int, m: int, trials: int, seed: int) -> ResultTable:
             "expected_qz": rec.expectation.expected,
             # the exact check's verdict, under the column name the benchmark reads
             "qz_within_3se": rec.expectation.holds,
+            "answer_ok": rec.answer_ok,
         }
         for rec in records
     ]
     return _table(config, [
         "trial", "j", "alpha", "log2_class_size", "window", "delta_size", "num_queries",
         "swap_bound", "swap_actual", "swap_holds", "averaged_bound", "window_mass",
-        "mean_qz", "expected_qz", "qz_within_3se"],
-        rows, all(rec.swap.holds and rec.expectation.holds for rec in records))
+        "mean_qz", "expected_qz", "qz_within_3se", "answer_ok"],
+        rows, all(rec.swap.holds and rec.expectation.holds and rec.answer_ok
+                  for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +180,9 @@ def cmd_hellman(n: int, s_values, trials: int, seed: int) -> ResultTable:
         raise ValueError(f"strides must be a non-empty list without repeats, got {list(s_values)}")
     config = {"command": "hellman", "n": n, "s": list(s_values), "trials": trials, "seed": seed}
     target = n * 2 * ceil_log2(n)
-    jobs = [(s, t) for s in s_values for t in range(trials)]
 
-    def worker(i: int) -> dict:
-        s, t = jobs[i]
-        point = advice_mod.measure_tradeoff(stream_rng(seed, s, t).permutation(n), s)
+    def trial(s: int, t: int, rng: np.random.Generator) -> dict:
+        point = advice_mod.measure_tradeoff(rng.permutation(n), s)
         ratio = point["bits_times_calls"] / target
         return {
             "s": s,
@@ -208,7 +199,7 @@ def cmd_hellman(n: int, s_values, trials: int, seed: int) -> ResultTable:
             "calls_bounded": point["worst_calls"] <= 2 * s + 2,
         }
 
-    rows = fan_out(worker, len(jobs))
+    rows = [row for s in s_values for row in seeded_trials(seed, trials, partial(trial, s), s)]
     return _table(config, [
         "s", "trial", "n", "entries", "advice_bits", "header_bits", "worst_calls",
         "bits_times_calls", "target_bits", "ratio_to_target", "within_factor_8",
@@ -288,13 +279,11 @@ def cmd_compress(n: int, delta: float, c: float, trials: int, seed: int) -> Resu
     f = PermutationOracle(stream_rng(seed, 0).permutation(n))
     _, probe = compress_mod.prepare(f, family)
 
-    def worker(t: int) -> dict:
-        R = compress_mod.sample_R(n, delta, probe.num_queries, stream_rng(seed, 1, t))
-        record = compress_trial(f, family, R, params)
-        record["trial"] = t
-        return record
+    def trial(t: int, rng: np.random.Generator) -> dict:
+        R = compress_mod.sample_R(n, delta, probe.num_queries, rng)
+        return {**compress_trial(f, family, R, params), "trial": t}
 
-    rows = fan_out(worker, trials)
+    rows = seeded_trials(seed, trials, trial, 1)
     successes = sum(1 for r in rows if r["roundtrip_exact"])
     audits = all(r["length_identity_ok"] and r["length_bound_ok"] and r["envelope_ok"]
                  and r["h_ok"] for r in rows)
@@ -363,7 +352,7 @@ def swapping_trials(trials: int, seed: int) -> list:
             "bound": rep.bound, "actual": rep.actual, "holds": rep.holds,
         }
 
-    return _trials(seed, trials, trial)
+    return seeded_trials(seed, trials, trial)
 
 
 def _random_state(rng: np.random.Generator, layout: BasisLayout) -> PureState:
@@ -401,7 +390,7 @@ def tv_trials(trials: int, seed: int) -> list:
             "holds": rep.holds,
         }
 
-    return _trials(seed, trials, trial)
+    return seeded_trials(seed, trials, trial)
 
 
 def _pair_agrees_outside(members: np.ndarray, outside_mask: int) -> bool:
@@ -430,7 +419,7 @@ def collision_trials(trials: int, seed: int) -> list:
             "holds": valid and scan_found,
         }
 
-    return _trials(seed, trials, trial)
+    return seeded_trials(seed, trials, trial)
 
 
 def eq2_trials(trials: int, seed: int) -> list:
@@ -473,7 +462,7 @@ def eq2_trials(trials: int, seed: int) -> list:
             "holds": mean_holds, **mean,
         }
 
-    return _trials(seed, trials, trial)
+    return seeded_trials(seed, trials, trial)
 
 
 _SUITES = {

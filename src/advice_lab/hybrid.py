@@ -22,13 +22,15 @@ from .qsim import (
     Oracle,
     PureState,
     QueryTrace,
+    State,
     euclidean_distance,
     measurement_distribution,
     oracle_delta,
     run,
+    top_two,
     tv_distance,
 )
-from .util import bitstring, int_to_bits, parse_bitstring, read_index, read_index_set, stream_rng
+from .util import bitstring, int_to_bits, parse_bitstring, read_index, read_index_set, seeded_trials
 
 SWAP_TOL = 1e-9
 
@@ -93,6 +95,7 @@ class SwapReport:
     delta_set: tuple
     holds: bool
     trace: QueryTrace  # the first run's
+    final: State  # the first run's
 
 
 def verify_swapping(alg: AlgorithmSpec, oracle_x: Oracle, oracle_y: Oracle,
@@ -111,6 +114,7 @@ def verify_swapping(alg: AlgorithmSpec, oracle_x: Oracle, oracle_y: Oracle,
         delta_set=tuple(int(d) for d in delta),
         holds=actual <= bound + SWAP_TOL,
         trace=trace_x,
+        final=final_x,
     )
 
 
@@ -176,6 +180,7 @@ class BoxTrialRecord:
     eq_bound: float  # the bound at a window's mean mass (m+1)T/(N-1): 2T sqrt((m+1)/(N-1))
     window_mass: float  # the query mass the first run put on the window
     expectation: ExpectationReport
+    answer_ok: bool  # the run on x outputs bit j of x with probability >= 1 - SWAP_TOL
 
 
 def box_experiment(n: int, m: int,
@@ -184,13 +189,13 @@ def box_experiment(n: int, m: int,
     """Per trial: draw an N-bit string and its parity pad over m groups (the
     advice alpha its whole class shares), a random window of m + 1
     coordinates and the pair the pad's ``collision`` builds there; check the
-    perturbation bound on the algorithm the factory builds from the pad, and
-    the exact query-mass mean off j of its run on x.  ValueError unless
-    1 <= m < N, raised by ``group_boundaries`` before any trial."""
+    perturbation bound on the algorithm the factory builds from the pad, the
+    exact query-mass mean off j of its run on x, and that this run answers
+    bit j of x.  ValueError unless 1 <= m < N, raised by ``group_boundaries``
+    before any trial."""
     group_boundaries(n, m)
-    records = []
-    for t in range(trials):
-        rng = stream_rng(seed, t)
+
+    def trial(t: int, rng) -> BoxTrialRecord:
         j = int(rng.integers(n))
         pad = parity_preprocess(rng.integers(0, 2, size=n), m)
         window = read_index_set(rng.choice(n, size=m + 1, replace=False), n)
@@ -199,10 +204,13 @@ def box_experiment(n: int, m: int,
         swap = verify_swapping(alg, BitStringOracle(int_to_bits(x, n), forbidden=j),
                                BitStringOracle(int_to_bits(y, n), forbidden=j), j)
         eq_bound = perturbation_bound(alg.num_queries, alg.num_queries * (m + 1) / (n - 1))
-        records.append(BoxTrialRecord(
+        answer, p, _ = top_two(swap.final, alg.output_register)
+        return BoxTrialRecord(
             trial=t, j=j, alpha=bitstring(pad.parities), log2_class_size=pad.log2_class_size,
             window=window.members, x=x, y=y, swap=swap, eq_bound=eq_bound,
             window_mass=swap.trace.mass_on(window),
             expectation=expectation_check(swap.trace, j),
-        ))
-    return tuple(records)
+            answer_ok=answer == (x >> j) & 1 and p >= 1 - SWAP_TOL,
+        )
+
+    return tuple(seeded_trials(seed, trials, trial))

@@ -1,5 +1,5 @@
 """Small shared helpers: integer and bit coercion, bit packing, exact log2
-ceilings, seed derivation."""
+ceilings, seed derivation and the trial loop."""
 
 from __future__ import annotations
 
@@ -157,3 +157,14 @@ def stream_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Counter-based seed split: each key names its own independent stream,
     so any single trial can be replayed without running the others."""
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
+
+
+def fan_out(worker, count: int) -> list:
+    """Run worker(0..count-1) in trial order: the one trial loop of every command."""
+    return [worker(i) for i in range(count)]
+
+
+def seeded_trials(seed: int, count: int, trial, *prefix: int) -> list:
+    """trial(t, stream_rng(seed, *prefix, t)) for t = 0..count-1 through ``fan_out``:
+    the one place a trial's stream is drawn, so any trial replays alone."""
+    return fan_out(lambda t: trial(t, stream_rng(seed, *prefix, t)), count)

@@ -756,18 +756,17 @@ class TestCorruptAdvice:
     @PROPERTY_SETTINGS
     @given(advice_mutations())
     def test_mutated_advice_decodes_to_a_permutation_or_raises_a_codec_error(self, case):
-        # The codec stores no redundancy, so a mutation may also decode to a
-        # permutation other than f (see the next test); it never escapes as
-        # any other error.
+        # decode returns only a table that re-derives the advice it read, so a
+        # mutation never decodes to f; any other error would escape.
         f, family, R, enc = case
         try:
             table, _ = decode(enc, R, family)
         except (CorruptEncodingError, DecodeFailure):
             return
         assert np.array_equal(np.sort(table), np.arange(16))
+        assert family.preprocess(PermutationOracle(table)) == enc.advice
+        assert not np.array_equal(table, f.table)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="decode does not check that its table re-encodes to the envelope")
     def test_flipped_anchor_bit_never_decodes_to_a_wrong_permutation(self):
         f = PermutationOracle(np.random.default_rng(5).permutation(16))
         family = HellmanInversion(2)

@@ -1,6 +1,7 @@
 """Experiment commands: invariant flags, reproducibility, CLI surface."""
 
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advice_lab import compress, harness, qsim
+from advice_lab import compress, harness, hybrid, qsim, util
 from advice_lab.adapters import GroverInversion, HellmanInversion
 from advice_lab.cli import build_parser, main
 from advice_lab.qsim import PermutationOracle
@@ -166,8 +167,10 @@ class TestReproducibility:
     GOLDEN = {
         "grover": (lambda: harness.cmd_grover(16, 4, 0),
                    "892efd9b06833bfb91ace5024704e08f2a3a1f88fed52e17e3fa90e3a9348623"),
+        # moved once for the answer_ok column; without it the rows hash to the
+        # earlier f495ba22e8c0cb8fb63d8a15ff858aadd4e5b31882c021bf7377a3afa85836ad
         "box": (lambda: harness.cmd_box(8, 2, 5, 0),
-                "f495ba22e8c0cb8fb63d8a15ff858aadd4e5b31882c021bf7377a3afa85836ad"),
+                "d360d2a2a6bf19e3ae236e676315219f7e8c27ca9c11b1293a7c5f42090c430c"),
         "hellman": (lambda: harness.cmd_hellman(64, [4, 8], 2, 0),
                     "ebc8c966c667e7801dc9736d9b95b40939d2ba32004a5af10c1f2e12a7824fb4"),
         "compress": (lambda: harness.cmd_compress(16, 0.2, 0.001, 10, 0),
@@ -182,6 +185,71 @@ class TestReproducibility:
         text = harness.render_csv(build())
         got = hashlib.sha256(text.encode()).hexdigest()
         assert got == digest, f"{command} rows moved: sha256 {got}, pinned {digest}"
+
+
+def _replay_rows(table):
+    """A table's rows without the config hash, which names the trial count."""
+    return [{k: v for k, v in row.items() if k != "config"} for row in table.rows]
+
+
+class TestTrialStreams:
+    """Trial t draws only from ``stream_rng(seed, *prefix, t)``, so its row
+    does not depend on the trials around it, and that rule is written once."""
+
+    COMMANDS = {
+        "grover": lambda k: harness.cmd_grover(16, k, 4),
+        "box": lambda k: harness.cmd_box(16, 2, k, 4),
+        "compress": lambda k: harness.cmd_compress(16, 0.2, 0.001, k, 4),
+        **{f"verify-{suite}": (lambda k, suite=suite: harness.cmd_verify(suite, k, 4))
+           for suite in ("swapping", "tv", "collision", "eq2")},
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_first_k_rows_do_not_depend_on_later_trials(self, command):
+        build, k = self.COMMANDS[command], 4
+        assert _replay_rows(build(k + 2))[:k] == _replay_rows(build(k))
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS) + ["hellman"])
+    def test_rows_do_not_depend_on_the_order_trials_run_in(self, command, monkeypatch):
+        build = self.COMMANDS.get(command, lambda k: harness.cmd_hellman(64, [4, 8], k, 4))
+        forward = _replay_rows(build(5))
+        monkeypatch.setattr(util, "fan_out",
+                            lambda worker, count: [worker(i) for i in reversed(range(count))][::-1])
+        assert _replay_rows(build(5)) == forward
+
+    def test_a_strides_rows_do_not_depend_on_the_other_strides(self):
+        for seed in (0, 4):
+            both = harness.cmd_hellman(64, [4, 8], 2, seed)
+            alone = harness.cmd_hellman(64, [8], 2, seed)
+            assert [r for r in _replay_rows(both) if r["s"] == 8] == _replay_rows(alone)
+
+    def test_only_seeded_trials_draws_a_trial_stream(self):
+        """``stream_rng`` is called in ``util.seeded_trials`` and, for the one
+        key-(0) permutation, in ``cmd_compress``; ``fan_out`` only in
+        ``seeded_trials``; ``hybrid`` does not bind ``stream_rng``."""
+        calls = {"stream_rng": [], "fan_out": []}
+
+        class Scan(ast.NodeVisitor):
+            def __init__(self, module):
+                self.where = [module]
+
+            def visit_FunctionDef(self, node):
+                self.where.append(node.name)
+                self.generic_visit(node)
+                self.where.pop()
+
+            def visit_Call(self, node):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in calls:
+                    calls[name].append(f"{self.where[0]}.{self.where[-1]}")
+                self.generic_visit(node)
+
+        for path in sorted((ROOT / "src" / "advice_lab").glob("*.py")):
+            Scan(path.stem).visit(ast.parse(path.read_text()))
+        assert calls == {"stream_rng": ["harness.cmd_compress", "util.seeded_trials"],
+                         "fan_out": ["util.seeded_trials"]}
+        assert "stream_rng" not in vars(hybrid)
 
 
 class TestCompressTrial:

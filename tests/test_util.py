@@ -25,6 +25,8 @@ from advice_lab.util import (
     read_index,
     read_index_set,
     read_permutation,
+    seeded_trials,
+    stream_rng,
 )
 
 
@@ -323,3 +325,13 @@ def test_one_reader_per_decision(case):
             call()
         messages.add(str(info.value))
     assert len(messages) == 1
+
+
+def test_seeded_trials_gives_trial_t_the_stream_prefix_then_t():
+    def draw(t, rng):
+        return t, int(rng.integers(2 ** 62))
+
+    for prefix in ((), (1,), (8, 3)):
+        expected = [(t, int(stream_rng(11, *prefix, t).integers(2 ** 62))) for t in range(4)]
+        assert seeded_trials(11, 4, draw, *prefix) == expected
+    assert seeded_trials(11, 0, draw) == []

@@ -7,8 +7,9 @@ decoder differs from its encoder (``h_ok``), an encoding with a rank past its
 component's bits (``length_identity_ok``), an envelope parse that moves a rank
 (``envelope_ok``), anchors laid at four times their stride (``calls_bounded``),
 a collision finder whose pair differs outside the window (the ``collision``
-suite's ``holds``), and an inverter that keeps its inverse table outside its
-advice (``counting_check``).  A verdict that no
+suite's ``holds``), a box solver that leaves out the pad bit (the ``box``
+table's ``answer_ok``), and an inverter that keeps its inverse table outside
+its advice (``counting_check``).  A verdict that no
 input can make false is proved an identity instead (``length_bound_ok``), and
 the hybrid lemma is checked where it comes closest to its bound.
 """
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from advice_lab import advice, compress, harness
-from advice_lab.adapters import HellmanInversion, LookupInversion
+from advice_lab.adapters import HellmanInversion, LookupInversion, parity_box_algorithm
 from advice_lab.harness import cmd_hellman, collision_trials, compress_trial
 from advice_lab.hybrid import perturbation_bound, verify_swapping
 from advice_lab.qsim import (
@@ -175,6 +176,34 @@ def test_collision_holds_catches_a_pair_that_differs_outside_the_window(monkeypa
     rows = collision_trials(5, 0)
     assert not any(row["holds"] for row in rows)
     assert all(row["brute_agrees"] for row in rows)  # the scan still finds a pair
+
+
+def _pad_dropping_solver(pad, j):
+    """``parity_box_algorithm`` whose last step leaves out the pad bit: it
+    answers the parity of the rest of j's group, which is x_j only when the
+    group's advice bit is 0.  Needs j's group to hold another member."""
+    members, _pad_bit = pad.reads(j)
+
+    def steps(_run_input):
+        def transition(t, pos, ans, work):
+            if t == 0:
+                return members[0], 0, 0
+            if t < len(members):
+                return members[t], 0, work ^ ans
+            return pos, 0, work ^ ans
+        return transition
+
+    return dataclasses.replace(parity_box_algorithm(pad, j), steps=steps)
+
+
+def test_answer_ok_catches_a_box_solver_that_leaves_out_the_pad_bit(monkeypatch):
+    assert harness.cmd_box(64, 4, 20, 1).ok
+    monkeypatch.setattr(harness, "parity_box_algorithm", _pad_dropping_solver)
+    table = harness.cmd_box(64, 4, 20, 1)
+    assert not table.ok
+    assert not all(row["answer_ok"] for row in table.rows)
+    # the query-mass verdicts cannot see the answer
+    assert all(row["swap_holds"] and row["qz_within_3se"] for row in table.rows)
 
 
 def test_length_bound_ok_is_an_identity_of_the_bit_accounting():
